@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification/bounds failure, 2 input or parse
-error, 3 enumeration cap exceeded.  All machine-readable numbers are exact
-"p/q" strings; pass --decimal for an additional rounded rendering.
+error, 3 enumeration or gadget minor cap exceeded.  All machine-readable
+numbers are exact "p/q" strings; pass --decimal for an additional rounded
+rendering.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .linalg import unconstrained_normalizer
 from .mixed_disc import mixed_discriminant
 from .rational import as_rational, bit_length, format_decimal, format_rational
 from .reductions import (
+    DEFAULT_GADGET_MINOR_CAP,
     OracleSpec,
     apreduce_md_to_zf,
     apreduce_md_to_zt,
@@ -56,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *inputs):
+    def add(name, help_text, *inputs, caps=()):
+        """A subcommand offering only the cap flags in caps that it reads."""
         p = sub.add_parser(name, help=help_text)
         for meta in inputs:
             p.add_argument(meta, help=f"path to the {meta} JSON file")
@@ -64,25 +67,39 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also print a K-digit decimal rendering")
         p.add_argument("--json", dest="json_path", default=None, metavar="OUT",
                        help="write a JSON result to OUT")
-        p.add_argument("--max-edges", type=int, default=None, metavar="N",
-                       help="override the forest/gadget edge cap")
-        p.add_argument("--max-vertices", type=int, default=None, metavar="N",
-                       help="override the spanning-tree vertex cap")
+        if "edges" in caps:
+            p.add_argument("--max-edges", type=int, default=None, metavar="N",
+                           help="override the forest (and matching gadget) edge cap")
+        if "vertices" in caps:
+            p.add_argument("--max-vertices", type=int, default=None, metavar="N",
+                           help="override the spanning-tree vertex cap")
         return p
 
-    add("zt", "tree-constrained normalizer of an instance bundle", "bundle")
-    add("zf", "forest-constrained normalizer of an instance bundle", "bundle")
+    add("zt", "tree-constrained normalizer of an instance bundle", "bundle",
+        caps=("vertices",))
+    add("zf", "forest-constrained normalizer of an instance bundle", "bundle",
+        caps=("edges",))
     add("znorm", "unconstrained normalizer det(A + I) of a matrix file", "matrix")
     add("count-trees", "weighted spanning-tree count of a graph file", "graph")
     add("count-pm", "brute-force perfect matching count", "bipartite")
     add("mixed-disc", "brute-force mixed discriminant", "instance")
-    p = add("sample", "draw subsets from a constrained DPP", "bundle")
+    p = add("sample", "draw subsets from a constrained DPP", "bundle",
+            caps=("vertices", "edges"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10)
-    add("reduce-pm-zt", "matching count via the gadget tree normalizer", "bipartite")
-    add("reduce-zt-zf", "tree normalizer via forest interpolation", "bundle")
+    add("reduce-pm-zt", "matching count via the gadget tree normalizer", "bipartite",
+        caps=("edges",))
+    add("reduce-zt-zf", "tree normalizer via forest interpolation", "bundle",
+        caps=("edges",))
     for name in ("apreduce-zt", "apreduce-zf"):
-        p = add(name, f"mixed discriminant estimate via {name[-2:]}", "instance")
+        p = add(
+            name,
+            f"mixed discriminant estimate via {name[-2:]}; the closed-form "
+            f"gadget oracle enumerates no trees or forests, and a gadget with "
+            f"more than {DEFAULT_GADGET_MINOR_CAP} nonempty left subsets "
+            f"(n >= 5) is refused with exit 3",
+            "instance",
+        )
         p.add_argument("--epsilon", default="1/2", metavar="P/Q")
         p.add_argument("--oracle", dest="oracle_mode", default="exact",
                        choices=("exact", "noisy", "adversarial"))
@@ -182,10 +199,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command in ("apreduce-zt", "apreduce-zf"):
         inst = jsonio.load_md_instance(jsonio.read_json(cfg.inputs[0]))
         runner = apreduce_md_to_zt if cfg.command == "apreduce-zt" else apreduce_md_to_zf
-        report = runner(
-            inst, as_rational(cfg.epsilon),
-            oracle=_oracle_spec(cfg), max_edges=cfg.max_edges,
-        )
+        report = runner(inst, as_rational(cfg.epsilon), oracle=_oracle_spec(cfg))
         if report.declared_zero:
             print("D = 0")
         else:

@@ -40,19 +40,28 @@ def load_sym_matrix(obj) -> SymMatrix:
     labels = obj.get("labels")
     if labels is None:
         labels = [str(i) for i in range(len(rows))]
+    elif not isinstance(labels, list) or not all(
+        isinstance(a, (str, int)) and not isinstance(a, bool) for a in labels
+    ):
+        raise ValueError("matrix 'labels' must be an array of strings or integers")
     return SymMatrix(labels, [[parse_rational(v) for v in row] for row in rows])
 
 
-def load_weighted_psd(obj) -> WeightedPSD:
-    base = load_sym_matrix(obj)
-    weights = obj.get("weights")
+def _weighted(base: SymMatrix, weights) -> WeightedPSD:
+    """The base with the optional 'weights' array, parallel to its labels."""
     if weights is None:
         return WeightedPSD(base)
+    if not isinstance(weights, list):
+        raise ValueError("'weights' must be an array parallel to the labels")
     if len(weights) != base.dimension:
         raise ValueError("weights array must parallel the labels")
     return WeightedPSD(
         base, {a: parse_rational(w) for a, w in zip(base.labels, weights)}
     )
+
+
+def load_weighted_psd(obj) -> WeightedPSD:
+    return _weighted(load_sym_matrix(obj), obj.get("weights"))
 
 
 def dump_sym_matrix(matrix: SymMatrix) -> dict:
@@ -111,15 +120,7 @@ def dump_bipartite(graph: BipartiteGraph) -> dict:
 def load_bundle(obj) -> ConstrainedDPP:
     constraint = _require(obj, "constraint", "instance bundle")
     base = load_sym_matrix(_require(obj, "matrix", "instance bundle"))
-    weights = obj.get("weights")
-    if weights is None:
-        matrix = WeightedPSD(base)
-    else:
-        if len(weights) != base.dimension:
-            raise ValueError("weights array must parallel the matrix labels")
-        matrix = WeightedPSD(
-            base, {a: parse_rational(w) for a, w in zip(base.labels, weights)}
-        )
+    matrix = _weighted(base, obj.get("weights"))
     graph = None
     if obj.get("graph") is not None:
         graph, _ = load_graph(obj["graph"])

@@ -14,17 +14,14 @@ from weakref import WeakKeyDictionary
 
 from .dpp import _SplitMix64, partition_constrained_sum, z_forest, z_tree
 from .errors import CapExceeded
-from .graphs import (
-    BipartiteGraph,
-    Graph,
-    default_forest_cap,
-    enumerate_forests,
-    enumerate_spanning_trees,
-)
-from .linalg import SymMatrix, WeightedPSD, unconstrained_normalizer
+from .graphs import BipartiteGraph, Graph, default_forest_cap
+from .linalg import SymMatrix, WeightedPSD
 from .matroid import find_witness
 from .mixed_disc import MDInstance, PartitionInstance, build_partition_instance
 from .rational import ONE, Rat, Rational, as_rational, exp_enclosure
+
+# Every nonempty left subset of an n = 4 mixed-discriminant gadget (m = 16).
+DEFAULT_GADGET_MINOR_CAP = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +33,10 @@ class GadgetInstance:
     edge and a right edge each.  The kernel base carries the source matrix
     on the left block and an identity on the right block with no coupling.
     Reweighted copies accumulate left/right factors and remember the
-    original instance.
+    original instance.  _buckets caches, on the original only, the table of
+    left-minor sums by per-part left counts (gadget_minor_table), from which
+    the exact tree, forest and unconstrained normalizers of every reweighted
+    copy follow in closed form.
     """
 
     graph: Graph
@@ -346,75 +346,98 @@ class _OracleSession:
 def gadget_z_exact(instance: GadgetInstance, kind: str) -> Rational:
     """Exact tree or forest normalizer of a (possibly reweighted) gadget.
 
-    Enumerates the family once on the unweighted original and groups minors
-    by (right-edge count, left-edge count); the determinant of any subset
-    splits off the identity right block, so it only depends on the left
-    part.  Reweighting factors then enter through a short power sum.  Agrees
-    with the generic normalizers entry for entry (covered by tests).
+    The gadget is a chain of blocks that share only spine vertices, block i
+    being k_i parallel two-edge paths, so an edge set is a forest (spanning
+    tree) exactly when its trace on every block is one.  With the left
+    edges S fixed and s_i = |S on part i|, the right edges of block i
+    contribute, in z = right_factor^2,
+    forests: (1 + z)^(k_i - s_i) * (1 + s_i z), at most one closed path;
+    trees: s_i z^(k_i - s_i + 1), exactly one closed path.
+    The identity right block splits off every minor, so the normalizer is
+    sum_s c_s * left_factor^(2|s|) * prod_i P_i(z; s_i) over the origin's
+    left-minor table (gadget_minor_table).  No tree or forest is
+    enumerated; tests check it against the generic normalizers.
     """
     if kind not in ("tree", "forest"):
         raise ValueError(f"unknown normalizer kind {kind!r}")
-    origin = instance.origin or instance
-    coeffs = origin._buckets.get(kind)
-    if coeffs is None:
-        coeffs = _bucket_coefficients(origin, kind)
-        origin._buckets[kind] = coeffs
-    lf, rf = instance.left_factor, instance.right_factor
-    lf2, rf2 = lf * lf, rf * rf
-    lpow: dict = {}
-    rpow: dict = {}
+    table = gadget_minor_table(instance)
+    lf2 = instance.left_factor * instance.left_factor
+    z = instance.right_factor * instance.right_factor
+    sizes = [len(part) for part in instance.parts]
+
+    def block(k, s):
+        if kind == "tree":
+            return s * z ** (k - s + 1)
+        return (1 + z) ** (k - s) * (1 + s * z)
+
+    polys = {(k, s): block(k, s) for k in set(sizes) for s in range(k + 1)}
     total = Rat(0)
-    for (r, l), value in coeffs.items():
-        pr = rpow.get(r)
-        if pr is None:
-            pr = rpow[r] = rf2**r
-        pl = lpow.get(l)
-        if pl is None:
-            pl = lpow[l] = lf2**l
-        total += value * pr * pl
+    for counts, coeff in table.items():
+        term = coeff * lf2 ** sum(counts)
+        for k, s in zip(sizes, counts):
+            term *= polys[k, s]
+        total += term
     return total
 
 
-def _bucket_coefficients(origin: GadgetInstance, kind: str) -> dict:
+def gadget_minor_table(instance: GadgetInstance) -> dict:
+    """Left-minor table of the gadget's origin, built once and cached there.
+
+    Maps per-part left counts s = (s_1..s_n) to c_s, the sum over left
+    subsets S with |S on part i| = s_i of det(base_S) * prod_{e in S} w_e;
+    only positive c_s are stored.  2^m * sum_s c_s is the unconstrained
+    normalizer of the unweighted gadget.  A depth-first search adds left
+    edges in ascending label order and never extends a subset whose minor
+    is 0: the base is PSD, so every superset's minor is 0 as well.  Raises
+    CapExceeded before the search when _check_minor_cap refuses the gadget.
+    """
+    origin = instance.origin or instance
+    if not origin._buckets:
+        _check_minor_cap(origin)
+        origin._buckets.update(_left_minor_table(origin))
+    return origin._buckets
+
+
+def _check_minor_cap(instance: GadgetInstance) -> None:
+    """Refuse a gadget whose 2^m - 1 nonempty left subsets, the most minors
+    the table search can evaluate, exceed DEFAULT_GADGET_MINOR_CAP.  This
+    admits every n <= 4 mixed-discriminant gadget and no larger one."""
+    m = instance.num_left
+    if 2**m - 1 > DEFAULT_GADGET_MINOR_CAP:
+        raise CapExceeded(
+            f"gadget minor cap: 2^{m} - 1 left minors exceed "
+            f"{DEFAULT_GADGET_MINOR_CAP}"
+        )
+
+
+def _left_minor_table(origin: GadgetInstance) -> dict:
     for rid in origin.right_edges:
         if origin.kernel.weights[rid] != 1:
             raise AssertionError("origin gadget must have unit right weights")
-    graph = origin.graph
-    left_bit = {eid: 1 << i for i, eid in enumerate(origin.left_edges)}
-    if kind == "tree":
-        family = enumerate_spanning_trees(graph, max_vertices=graph.num_vertices)
-    else:
-        family = enumerate_forests(graph, max_edges=graph.num_edges)
-    counts: dict = {}
-    for subset in family:
-        lmask = 0
-        r = 0
-        for eid in subset:
-            bit = left_bit.get(eid)
-            if bit is None:
-                r += 1
-            else:
-                lmask |= bit
-        key = (r, lmask)
-        counts[key] = counts.get(key, 0) + 1
     base = origin.kernel.base
     weights = origin.kernel.weights
-    left = origin.left_edges
-    minors: dict = {}
-    coeffs: dict = {}
-    for (r, lmask), mult in counts.items():
-        minor = minors.get(lmask)
-        if minor is None:
-            labels = [left[i] for i in range(len(left)) if lmask >> i & 1]
-            minor = base.minor_det(base.positions(labels))
-            for a in labels:
-                minor *= weights[a]
-            minors[lmask] = minor
-        if minor == 0:
-            continue
-        key = (r, lmask.bit_count())
-        coeffs[key] = coeffs.get(key, Rat(0)) + mult * minor
-    return coeffs
+    part_of = {e: i for i, part in enumerate(origin.parts) for e in part}
+    left = sorted(origin.left_edges)
+    pos = [base.positions((e,))[0] for e in left]
+    table: dict = {}
+    counts = [0] * len(origin.parts)
+    chosen: list = []
+
+    def visit(start, minor, weight):
+        key = tuple(counts)
+        table[key] = table.get(key, 0) + minor * weight
+        for k in range(start, len(left)):
+            chosen.append(pos[k])
+            sub = base.minor_det(chosen)
+            if sub != 0:
+                part = part_of[left[k]]
+                counts[part] += 1
+                visit(k + 1, sub, weight * weights[left[k]])
+                counts[part] -= 1
+            chosen.pop()
+
+    visit(0, ONE, ONE)
+    return table
 
 
 @dataclass(frozen=True)
@@ -457,18 +480,14 @@ def _sandwich_bounds(mode: str, epsilon, reference) -> tuple:
     return lower, upper
 
 
-def _run_md_reduction(kernels, epsilon, oracle, max_edges, target) -> ReductionReport:
+def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
     eps = as_rational(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     spec = oracle if oracle is not None else OracleSpec()
     pinst = build_partition_instance(kernels)
     inst = build_md_gadget(pinst)
-    cap = default_forest_cap() if max_edges is None else max_edges
-    if inst.graph.num_edges > cap:
-        raise CapExceeded(
-            f"gadget enumeration cap: |E| = {inst.graph.num_edges} exceeds {cap}"
-        )
+    _check_minor_cap(inst)
     # Independent reference: the transversal route, never the tree route.
     reference = partition_constrained_sum(pinst.matrix, pinst.parts) / pinst.scale
     witness = find_witness(inst)
@@ -490,10 +509,13 @@ def _run_md_reduction(kernels, epsilon, oracle, max_edges, target) -> ReductionR
             bounds_pass=reference == 0,
             oracle_calls=(),
         )
-    ratio = unconstrained_normalizer(inst.kernel) / inst.kernel.minor(witness)
-    session = _OracleSession(spec)
     n = inst.num_parts
     m = inst.num_left
+    # det(K + I) sums all principal minors; the identity right block lets
+    # each left subset pair with any of the 2^m right subsets.
+    normalizer = 2**m * sum(gadget_minor_table(inst).values())
+    ratio = normalizer / inst.kernel.minor(witness)
+    session = _OracleSession(spec)
     if target == "tree":
         x = ratio * 2 / eps
         y = None
@@ -527,21 +549,23 @@ def _run_md_reduction(kernels, epsilon, oracle, max_edges, target) -> ReductionR
 
 
 def apreduce_md_to_zt(
-    kernels, epsilon, oracle: OracleSpec | None = None, max_edges: int | None = None
+    kernels, epsilon, oracle: OracleSpec | None = None
 ) -> ReductionReport:
     """Approximation-preserving estimate of the mixed discriminant via the
     tree normalizer: build the gadget, search a witness, pick the right-edge
     factor so off-target trees contribute at most an eps/2 relative error,
-    query the oracle once at tolerance eps/2, and rescale."""
-    return _run_md_reduction(kernels, epsilon, oracle, max_edges, "tree")
+    query the oracle once at tolerance eps/2, and rescale.  Raises
+    CapExceeded before any other work when the gadget's 2^m - 1 nonempty
+    left subsets exceed DEFAULT_GADGET_MINOR_CAP (n >= 5)."""
+    return _run_md_reduction(kernels, epsilon, oracle, "tree")
 
 
 def apreduce_md_to_zf(
-    kernels, epsilon, oracle: OracleSpec | None = None, max_edges: int | None = None
+    kernels, epsilon, oracle: OracleSpec | None = None
 ) -> ReductionReport:
     """Same pipeline against the forest normalizer; two factors are needed
     because forests can miss right edges and overfill left ones."""
-    return _run_md_reduction(kernels, epsilon, oracle, max_edges, "forest")
+    return _run_md_reduction(kernels, epsilon, oracle, "forest")
 
 
 def median_estimate(estimates: Sequence) -> Rational:

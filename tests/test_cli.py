@@ -171,6 +171,38 @@ class TestExitCodes:
         assert main(["znorm", str(path)]) == 2
         capsys.readouterr()
 
+    def test_weights_object_rejected(self, tmp_path, capsys):
+        # Read as an array, the object's keys 3 and 4 would give det = 20.
+        path = tmp_path / "m.json"
+        path.write_text('{"rows":[[1,0],[0,1]],"weights":{"3":100,"4":100}}')
+        assert main(["znorm", str(path)]) == 2
+        assert "weights" in capsys.readouterr().err
+
+    def test_unhashable_labels_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"labels":[[1],[2]],"rows":[[1,0],[0,1]]}')
+        assert main(["znorm", str(path)]) == 2
+        assert "labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("apreduce-zt", "--max-edges"), ("apreduce-zf", "--max-vertices"),
+        ("znorm", "--max-vertices"), ("zt", "--max-edges"), ("zf", "--max-vertices"),
+    ])
+    def test_unread_cap_flags_refused(self, command, flag, md_identity_file, capsys):
+        # A command offers only the caps it reads; any other is a parse error.
+        with pytest.raises(SystemExit) as exc:
+            main([command, md_identity_file, flag, "30"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_apreduce_minor_cap(self, tmp_path, capsys):
+        eye = {"labels": [str(i) for i in range(5)],
+               "rows": [[int(i == j) for j in range(5)] for i in range(5)]}
+        path = tmp_path / "md5.json"
+        jsonio.write_json(path, {"matrices": [eye] * 5})
+        assert main(["apreduce-zf", str(path)]) == 3
+        assert "gadget minor cap" in capsys.readouterr().err
+
     def test_cap_exceeded(self, tmp_path, capsys):
         left = [f"u{i}" for i in range(11)]
         right = [f"w{i}" for i in range(11)]

@@ -108,6 +108,11 @@ class TestBundleRoundtrip:
         back = jsonio.load_bundle(jsonio.dump_bundle(dpp))
         assert back.parts == (("1", "2"), ("3", "4"))
 
+    def test_weights_object_rejected(self):
+        obj = {"matrix": {"rows": [["1"]]}, "weights": {"0": "2"}, "constraint": "tree"}
+        with pytest.raises(ValueError, match="weights"):
+            jsonio.load_bundle(obj)
+
     def test_missing_constraint(self):
         with pytest.raises(ValueError, match="constraint"):
             jsonio.load_bundle({"matrix": {"rows": [["1"]]}})

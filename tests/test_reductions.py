@@ -2,11 +2,23 @@ import random
 
 import pytest
 
+from treedpp import reductions
 from treedpp.dpp import partition_constrained_sum, z_forest, z_tree
 from treedpp.errors import CapExceeded
 from treedpp.graphs import BipartiteGraph, enumerate_spanning_trees, is_spanning_tree
-from treedpp.linalg import SymMatrix, WeightedPSD, is_psd, unconstrained_normalizer
-from treedpp.mixed_disc import MDInstance, build_partition_instance, mixed_discriminant
+from treedpp.linalg import (
+    SymMatrix,
+    WeightedPSD,
+    det_bareiss,
+    is_psd,
+    unconstrained_normalizer,
+)
+from treedpp.mixed_disc import (
+    MDInstance,
+    PartitionInstance,
+    build_partition_instance,
+    mixed_discriminant,
+)
 from treedpp.rational import ONE, Rat, exp_enclosure
 from treedpp.reductions import (
     OracleSpec,
@@ -15,6 +27,7 @@ from treedpp.reductions import (
     build_md_gadget,
     build_pm_gadget,
     count_pm_via_zt,
+    gadget_minor_table,
     gadget_z_exact,
     lagrange_leading_coeff,
     median_estimate,
@@ -220,19 +233,84 @@ class TestReweight:
             reweight_rank_one(self.gadget(), 0, 1)
 
 
+def full_rank_gadget():
+    """Gadget straight from a full-rank weighted Gram on 4 labels in 2 parts:
+    no left minor vanishes, so the closed form prunes nothing and every
+    s_i = 2 term carries mass."""
+    matrix = random_weighted_psd(random.Random(74), 4, labels=("a", "b", "c", "d"))
+    assert det_bareiss(matrix.base) != 0
+    return build_md_gadget(
+        PartitionInstance(matrix=matrix, parts=(("a", "b"), ("c", "d")), scale=ONE)
+    )
+
+
+def count_minor_dets(monkeypatch):
+    """Record every SymMatrix.minor_det call from now on."""
+    calls = []
+    inner = SymMatrix.minor_det
+
+    def counted(self, positions):
+        calls.append(tuple(positions))
+        return inner(self, positions)
+
+    monkeypatch.setattr(SymMatrix, "minor_det", counted)
+    return calls
+
+
+def oracle_gadgets():
+    rng = random.Random(73)
+    return {
+        "low-rank": build_md_gadget(build_partition_instance(random_md_instance(rng, 2))),
+        "degenerate": build_md_gadget(build_partition_instance(
+            random_md_instance(rng, 2, degenerate=True))),
+        "full-rank": full_rank_gadget(),
+    }
+
+
 class TestExactOracle:
     def test_matches_generic_normalizers(self):
-        rng = random.Random(73)
-        inst = build_md_gadget(build_partition_instance(random_md_instance(rng, 2)))
-        for lf, rf in ((1, 1), (2, 3), (Rat(7, 2), Rat(1, 3))):
-            scaled = reweight_rank_one(inst, lf, rf)
+        for name, inst in oracle_gadgets().items():
             nv, ne = inst.graph.num_vertices, inst.graph.num_edges
-            assert gadget_z_exact(scaled, "tree") == z_tree(
-                scaled.kernel, scaled.graph, max_vertices=nv
-            )
-            assert gadget_z_exact(scaled, "forest") == z_forest(
-                scaled.kernel, scaled.graph, max_edges=ne
-            )
+            for lf, rf in ((1, 1), (2, 3), (Rat(7, 2), Rat(1, 3))):
+                scaled = reweight_rank_one(inst, lf, rf)
+                assert gadget_z_exact(scaled, "tree") == z_tree(
+                    scaled.kernel, scaled.graph, max_vertices=nv
+                ), name
+                assert gadget_z_exact(scaled, "forest") == z_forest(
+                    scaled.kernel, scaled.graph, max_edges=ne
+                ), name
+
+    def test_table_sums_to_unconstrained_normalizer(self):
+        for name, inst in oracle_gadgets().items():
+            table = gadget_minor_table(inst)
+            assert all(c > 0 for c in table.values()), name
+            total = 2**inst.num_left * sum(table.values())
+            assert total == unconstrained_normalizer(inst.kernel), name
+
+    def test_full_rank_table_prunes_nothing(self):
+        table = gadget_minor_table(full_rank_gadget())
+        assert sorted(table) == [(s1, s2) for s1 in range(3) for s2 in range(3)]
+
+    def test_psd_pruning_bounds_the_search(self, monkeypatch):
+        # Unpruned, the n = 4 identity gadget has 2^16 - 1 nonempty left
+        # subsets; only those picking distinct factor columns survive.
+        inst = build_md_gadget(build_partition_instance(identity_md(4)))
+        evaluated = count_minor_dets(monkeypatch)
+        table = gadget_minor_table(inst)
+        assert 0 < len(evaluated) < 2**12
+        assert 2**16 * sum(table.values()) == unconstrained_normalizer(inst.kernel)
+
+    def test_minor_cap(self, monkeypatch):
+        # m = 4 and nothing is pruned: the search evaluates all 2^4 - 1
+        # nonempty left subsets, which is what the cap bounds.
+        evaluated = count_minor_dets(monkeypatch)
+        monkeypatch.setattr(reductions, "DEFAULT_GADGET_MINOR_CAP", 14)
+        with pytest.raises(CapExceeded, match="gadget minor cap"):
+            gadget_minor_table(full_rank_gadget())
+        assert evaluated == []
+        monkeypatch.setattr(reductions, "DEFAULT_GADGET_MINOR_CAP", 15)
+        assert gadget_minor_table(full_rank_gadget())
+        assert len(evaluated) == 15
 
     def test_matches_generic_tree_sum_at_n3(self):
         rng = random.Random(79)
@@ -290,9 +368,23 @@ class TestApReduceTree:
         with pytest.raises(ValueError, match="epsilon"):
             apreduce_md_to_zt(identity_md(2), Rat(3, 2))
 
-    def test_cap_on_large_instances(self):
-        with pytest.raises(CapExceeded, match="gadget enumeration cap"):
+    def test_cap_on_large_instances(self, monkeypatch):
+        monkeypatch.setattr(reductions, "DEFAULT_GADGET_MINOR_CAP", 100)
+        with pytest.raises(CapExceeded, match="gadget minor cap"):
             apreduce_md_to_zt(identity_md(4), Rat(1, 2))
+
+    @pytest.mark.parametrize("route", [apreduce_md_to_zt, apreduce_md_to_zf])
+    def test_n5_refused_before_any_work(self, route, monkeypatch):
+        # At the default cap an n = 5 gadget (m = 25) is refused right after
+        # it is built: no transversal reference, witness search or minor.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the minor cap check")
+
+        monkeypatch.setattr(reductions, "partition_constrained_sum", forbidden)
+        monkeypatch.setattr(reductions, "find_witness", forbidden)
+        monkeypatch.setattr(SymMatrix, "minor_det", forbidden)
+        with pytest.raises(CapExceeded, match=r"gadget minor cap: 2\^25 - 1"):
+            route(identity_md(5), Rat(1, 2))
 
     def test_scaling_step_uses_weighted_normalizer(self):
         inst = random_md_instance(random.Random(91), 2)
@@ -363,6 +455,24 @@ class TestApReduceForest:
                 assert monomial <= x ** (2 * m - 2) * y ** (2 * m) <= top
             seen_cases.add(case)
         assert seen_cases == {1, 2, 3}
+
+
+class TestApReduceAtN4:
+    """Both routes with the exact oracle at n = 4, beyond any tree or forest
+    enumeration cap: sandwiched against the transversal reference and the
+    brute-force mixed discriminant."""
+
+    @pytest.mark.parametrize("route", [apreduce_md_to_zt, apreduce_md_to_zf])
+    def test_exact_sandwich(self, route):
+        eps = Rat(1, 2)
+        for inst in (identity_md(4), random_md_instance(random.Random(4), 4)):
+            d = mixed_discriminant(inst)
+            report = route(inst, eps)
+            assert not report.declared_zero
+            assert report.reference == d
+            assert d <= report.estimate <= (ONE + eps / 2) * d
+            assert report.bounds_pass
+        assert mixed_discriminant(identity_md(4)) == 24
 
 
 class TestOracleSpec:
