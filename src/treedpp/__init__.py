@@ -30,7 +30,6 @@ from .linalg import (
     det_bareiss,
     is_psd,
     ldlt,
-    principal_minor,
     unconstrained_normalizer,
 )
 from .matroid import (

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceeded
 from .graphs import Graph, enumerate_forests, enumerate_spanning_trees
 from .linalg import WeightedPSD
-from .rational import ONE, Rat, Rational
+from .rational import Rat, Rational
 
 DEFAULT_TRANSVERSAL_CAP = 200_000
 DEFAULT_SUBSET_GROUND_CAP = 16
@@ -87,27 +87,24 @@ def z_forest(matrix: WeightedPSD, graph: Graph, max_edges: int | None = None) ->
     return total
 
 
-def _transversals(parts: tuple, max_transversals: int | None = None) -> Iterable[tuple]:
-    cap = DEFAULT_TRANSVERSAL_CAP if max_transversals is None else max_transversals
+def _transversals(parts: tuple) -> Iterable[tuple]:
     count = 1
     for part in parts:
         count *= len(part)
-    if count > cap:
-        raise CapExceeded(f"transversal enumeration cap: {count} exceeds {cap}")
+    if count > DEFAULT_TRANSVERSAL_CAP:
+        raise CapExceeded(
+            f"transversal enumeration cap: {count} exceeds {DEFAULT_TRANSVERSAL_CAP}"
+        )
     ordered = [tuple(sorted(part)) for part in parts]
     return product(*ordered)
 
 
-def partition_constrained_sum(
-    matrix: WeightedPSD,
-    parts: Sequence[Sequence],
-    max_transversals: int | None = None,
-) -> Rational:
+def partition_constrained_sum(matrix: WeightedPSD, parts: Sequence[Sequence]) -> Rational:
     """Sum of minors over all transversals picking one label from each part."""
     parts = tuple(tuple(p) for p in parts)
     _check_partition(matrix, parts)
     total = Rat(0)
-    for pick in _transversals(parts, max_transversals):
+    for pick in _transversals(parts):
         total += matrix.minor(pick)
     return total
 
@@ -128,13 +125,13 @@ class _SplitMix64:
         return z ^ (z >> 31)
 
 
-def _family(dpp: ConstrainedDPP, max_vertices, max_edges, max_transversals):
+def _family(dpp: ConstrainedDPP, max_vertices, max_edges):
     if dpp.constraint == "tree":
         return enumerate_spanning_trees(dpp.graph, max_vertices=max_vertices)
     if dpp.constraint == "forest":
         return enumerate_forests(dpp.graph, max_edges=max_edges)
     if dpp.constraint == "partition":
-        return _transversals(dpp.parts, max_transversals)
+        return _transversals(dpp.parts)
     labels = sorted(dpp.matrix.labels)
     if len(labels) > DEFAULT_SUBSET_GROUND_CAP:
         raise CapExceeded(
@@ -155,7 +152,6 @@ def sample_exact(
     count: int,
     max_vertices: int | None = None,
     max_edges: int | None = None,
-    max_transversals: int | None = None,
 ) -> list:
     """Draw i.i.d. subsets with probability minor(S)/Z by inverse CDF.
 
@@ -167,7 +163,7 @@ def sample_exact(
     outcomes = []
     cums = []
     total = Rat(0)
-    for subset in _family(dpp, max_vertices, max_edges, max_transversals):
+    for subset in _family(dpp, max_vertices, max_edges):
         mass = dpp.matrix.minor(subset)
         total += mass
         outcomes.append(tuple(sorted(subset)))

@@ -1,13 +1,13 @@
 """Simple undirected graphs, exhaustive tree/forest enumeration, and counting.
 
 Enumeration is deletion/contraction with deterministic branching on the
-lowest edge id, guarded by configurable caps (DPP_MAX_ENUM overrides the
-defaults).  Counting goes through the weighted Laplacian determinant.
+lowest edge id, guarded by caps: the module constants below, read at call
+time, unless the caller passes max_vertices / max_edges.  Counting goes
+through the weighted Laplacian determinant.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -18,14 +18,6 @@ from .rational import ONE, Rat, Rational, as_rational
 DEFAULT_TREE_VERTEX_CAP = 12
 DEFAULT_FOREST_EDGE_CAP = 24
 DEFAULT_MATCHING_SIZE_CAP = 10
-
-
-def default_tree_cap() -> int:
-    return int(os.environ.get("DPP_MAX_ENUM", DEFAULT_TREE_VERTEX_CAP))
-
-
-def default_forest_cap() -> int:
-    return int(os.environ.get("DPP_MAX_ENUM", DEFAULT_FOREST_EDGE_CAP))
 
 
 class Graph:
@@ -158,7 +150,7 @@ def enumerate_spanning_trees(graph: Graph, max_vertices: int | None = None) -> I
     Deterministic order: recursion branches on the lowest remaining edge id,
     taking the edge before skipping it.  Disconnected graphs yield nothing.
     """
-    cap = default_tree_cap() if max_vertices is None else max_vertices
+    cap = DEFAULT_TREE_VERTEX_CAP if max_vertices is None else max_vertices
     if graph.num_vertices > cap:
         raise CapExceeded(
             f"spanning-tree enumeration cap: |V| = {graph.num_vertices} exceeds {cap}"
@@ -215,7 +207,7 @@ def _tree_stream(graph: Graph) -> Iterator[tuple]:
 
 def enumerate_forests(graph: Graph, max_edges: int | None = None) -> Iterator[tuple]:
     """Yield every acyclic edge-id subset (including the empty set) once."""
-    cap = default_forest_cap() if max_edges is None else max_edges
+    cap = DEFAULT_FOREST_EDGE_CAP if max_edges is None else max_edges
     if graph.num_edges > cap:
         raise CapExceeded(
             f"forest enumeration cap: |E| = {graph.num_edges} exceeds {cap}"
@@ -294,12 +286,13 @@ def count_spanning_trees(graph: Graph, edge_weights: Mapping | None = None) -> R
     return det_bareiss(lap)
 
 
-def count_perfect_matchings(graph: BipartiteGraph, max_size: int | None = None) -> int:
+def count_perfect_matchings(graph: BipartiteGraph) -> int:
     """Brute-force perfect-matching count over all left-to-right bijections."""
-    cap = DEFAULT_MATCHING_SIZE_CAP if max_size is None else max_size
     n = graph.size
-    if n > cap:
-        raise CapExceeded(f"matching enumeration cap: n = {n} exceeds {cap}")
+    if n > DEFAULT_MATCHING_SIZE_CAP:
+        raise CapExceeded(
+            f"matching enumeration cap: n = {n} exceeds {DEFAULT_MATCHING_SIZE_CAP}"
+        )
     if n == 0:
         return 1
     right_index = {w: j for j, w in enumerate(graph.right)}

@@ -35,15 +35,33 @@ def _require(obj, key, kind):
     return obj[key]
 
 
+_OBJECT = "an object"
+_ARRAY = "an array"
+_ARRAYS = "an array of arrays"
+_LABELS = "an array of labels, all strings or all integers"
+_KINDS = {
+    _OBJECT: lambda v: isinstance(v, dict),
+    _ARRAY: lambda v: isinstance(v, list),
+    _ARRAYS: lambda v: isinstance(v, list) and all(isinstance(x, list) for x in v),
+    # One label type, so labels both hash and sort.
+    _LABELS: lambda v: isinstance(v, list)
+    and ({type(a) for a in v} <= {str} or {type(a) for a in v} <= {int}),
+}
+
+
+def _typed(value, field, kind):
+    """value if it has the JSON shape kind, else a ValueError naming field."""
+    if not _KINDS[kind](value):
+        raise ValueError(f"{field!r} must be {kind}")
+    return value
+
+
 def load_sym_matrix(obj) -> SymMatrix:
-    rows = _require(obj, "rows", "matrix")
+    rows = _typed(_require(obj, "rows", "matrix"), "rows", _ARRAYS)
     labels = obj.get("labels")
     if labels is None:
         labels = [str(i) for i in range(len(rows))]
-    elif not isinstance(labels, list) or not all(
-        isinstance(a, (str, int)) and not isinstance(a, bool) for a in labels
-    ):
-        raise ValueError("matrix 'labels' must be an array of strings or integers")
+    _typed(labels, "labels", _LABELS)
     return SymMatrix(labels, [[parse_rational(v) for v in row] for row in rows])
 
 
@@ -51,8 +69,7 @@ def _weighted(base: SymMatrix, weights) -> WeightedPSD:
     """The base with the optional 'weights' array, parallel to its labels."""
     if weights is None:
         return WeightedPSD(base)
-    if not isinstance(weights, list):
-        raise ValueError("'weights' must be an array parallel to the labels")
+    _typed(weights, "weights", _ARRAY)
     if len(weights) != base.dimension:
         raise ValueError("weights array must parallel the labels")
     return WeightedPSD(
@@ -77,13 +94,24 @@ def dump_weighted_psd(matrix: WeightedPSD) -> dict:
     return obj
 
 
+def _edge_list(edges, width):
+    """The 'edges' array as tuples of width labels, one label type per place."""
+    _typed(edges, "edges", _ARRAYS)
+    if any(len(e) != width for e in edges) or not all(
+        _KINDS[_LABELS](list(column)) for column in zip(*edges)
+    ):
+        raise ValueError(f"'edges' entries must be arrays of {width} labels, "
+                         "one label type per place")
+    return [tuple(e) for e in edges]
+
+
 def load_graph(obj) -> tuple:
     """Returns (graph, edge-weight map or None)."""
-    vertices = _require(obj, "vertices", "graph")
-    edges = _require(obj, "edges", "graph")
-    graph = Graph(vertices, [(eid, u, v) for eid, u, v in edges])
+    vertices = _typed(_require(obj, "vertices", "graph"), "vertices", _LABELS)
+    graph = Graph(vertices, _edge_list(_require(obj, "edges", "graph"), 3))
     weights = obj.get("weights")
     if weights is not None:
+        _typed(weights, "weights", _OBJECT)
         weights = {eid: parse_rational(w) for eid, w in weights.items()}
         unknown = set(weights) - set(graph.edge_by_id)
         if unknown:
@@ -102,10 +130,11 @@ def dump_graph(graph: Graph, weights: Mapping | None = None) -> dict:
 
 
 def load_bipartite(obj) -> BipartiteGraph:
+    kind = "bipartite graph"
     return BipartiteGraph(
-        _require(obj, "left", "bipartite graph"),
-        _require(obj, "right", "bipartite graph"),
-        [(u, w) for u, w in _require(obj, "edges", "bipartite graph")],
+        _typed(_require(obj, "left", kind), "left", _LABELS),
+        _typed(_require(obj, "right", kind), "right", _LABELS),
+        _edge_list(_require(obj, "edges", kind), 2),
     )
 
 
@@ -125,6 +154,9 @@ def load_bundle(obj) -> ConstrainedDPP:
     if obj.get("graph") is not None:
         graph, _ = load_graph(obj["graph"])
     parts = obj.get("parts")
+    if parts is not None:
+        for part in _typed(parts, "parts", _ARRAYS):
+            _typed(part, "parts", _LABELS)
     return ConstrainedDPP(matrix, constraint, graph=graph, parts=parts)
 
 
@@ -141,6 +173,7 @@ def dump_bundle(dpp: ConstrainedDPP) -> dict:
 
 def load_md_instance(obj) -> MDInstance:
     mats = _require(obj, "matrices", "mixed-discriminant instance")
+    _typed(mats, "matrices", _ARRAY)
     return MDInstance(tuple(load_sym_matrix(m) for m in mats))
 
 

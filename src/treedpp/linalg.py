@@ -14,6 +14,31 @@ from typing import Iterable, Mapping, Sequence
 from .rational import ONE, Rat, Rational, as_rational
 
 
+def _components(ent, positions) -> list:
+    """Connected components, each sorted, of the nonzero pattern of the
+    principal submatrix of ent at positions."""
+    remaining = list(positions)
+    pos_set = set(positions)
+    comps = []
+    seen = set()
+    for start in remaining:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            row = ent[i]
+            for j in pos_set:
+                if j not in seen and row[j] != 0:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 class SymMatrix:
     """Dense symmetric matrix over exact rationals with stable index labels.
 
@@ -83,7 +108,7 @@ class SymMatrix:
         if not positions:
             return ONE
         result = ONE
-        for comp in self._components(positions):
+        for comp in _components(self.entries, positions):
             if len(comp) == 1:
                 result *= self.entries[comp[0]][comp[0]]
                 if result == 0:
@@ -98,29 +123,6 @@ class SymMatrix:
             if result == 0:
                 return result
         return result
-
-    def _components(self, positions: tuple) -> list:
-        ent = self.entries
-        remaining = list(positions)
-        pos_set = set(positions)
-        comps = []
-        seen = set()
-        for start in remaining:
-            if start in seen:
-                continue
-            stack = [start]
-            seen.add(start)
-            comp = []
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                row = ent[i]
-                for j in pos_set:
-                    if j not in seen and row[j] != 0:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append(tuple(sorted(comp)))
-        return comps
 
 
 class WeightedPSD:
@@ -296,23 +298,7 @@ def is_psd(matrix) -> bool:
 
 
 def _is_psd_blocks(rows) -> bool:
-    n = len(rows)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            row = rows[i]
-            for j in range(n):
-                if not seen[j] and row[j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comp.sort()
+    for comp in _components(rows, range(len(rows))):
         if len(comp) == 1:
             if rows[comp[0]][comp[0]] < 0:
                 return False
@@ -381,11 +367,6 @@ def ldlt(matrix) -> tuple:
         tuple(diag),
         tuple(perm),
     )
-
-
-def principal_minor(matrix: WeightedPSD, subset: Iterable) -> Rational:
-    """Weighted principal minor det(W^(1/2) base W^(1/2))_S; empty S gives 1."""
-    return matrix.minor(subset)
 
 
 def unconstrained_normalizer(matrix: WeightedPSD) -> Rational:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
 
 from .errors import CapExceeded
 from .linalg import SymMatrix, WeightedPSD, det_bareiss, is_psd, ldlt
@@ -79,7 +78,7 @@ def _as_instance(kernels) -> MDInstance:
     return MDInstance(tuple(kernels))
 
 
-def mixed_discriminant(kernels, max_dim: int | None = None) -> Rational:
+def mixed_discriminant(kernels) -> Rational:
     """Permutation-sum mixed discriminant of n PSD kernels.
 
     Column j of each summand comes from kernel sigma(j); the total is the
@@ -87,9 +86,10 @@ def mixed_discriminant(kernels, max_dim: int | None = None) -> Rational:
     """
     inst = _as_instance(kernels)
     n = inst.dimension
-    cap = DEFAULT_MD_DIM_CAP if max_dim is None else max_dim
-    if n > cap:
-        raise CapExceeded(f"mixed discriminant cap: n = {n} exceeds {cap}")
+    if n > DEFAULT_MD_DIM_CAP:
+        raise CapExceeded(
+            f"mixed discriminant cap: n = {n} exceeds {DEFAULT_MD_DIM_CAP}"
+        )
     if n == 0:
         return ONE
     entries = [k.entries for k in inst.matrices]

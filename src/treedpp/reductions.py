@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
-from .dpp import _SplitMix64, partition_constrained_sum, z_forest, z_tree
+from .dpp import _SplitMix64, partition_constrained_sum, z_forest
 from .errors import CapExceeded
-from .graphs import BipartiteGraph, Graph, default_forest_cap
+from .graphs import BipartiteGraph, Graph
 from .linalg import SymMatrix, WeightedPSD
 from .matroid import find_witness
-from .mixed_disc import MDInstance, PartitionInstance, build_partition_instance
+from .mixed_disc import PartitionInstance, build_partition_instance
 from .rational import ONE, Rat, Rational, as_rational, exp_enclosure
 
 # Every nonempty left subset of an n = 4 mixed-discriminant gadget (m = 16).
@@ -222,15 +221,16 @@ def reweight_rank_one(
     )
 
 
-def count_pm_via_zt(bipartite: BipartiteGraph, max_edges: int | None = None) -> int:
-    """Perfect-matching count read off the gadget's tree normalizer."""
-    inst = build_pm_gadget(bipartite)
-    cap = default_forest_cap() if max_edges is None else max_edges
-    if inst.graph.num_edges > cap:
-        raise CapExceeded(
-            f"gadget enumeration cap: |E| = {inst.graph.num_edges} exceeds {cap}"
-        )
-    value = z_tree(inst.kernel, inst.graph, max_vertices=inst.graph.num_vertices)
+def count_pm_via_zt(bipartite: BipartiteGraph) -> int:
+    """Perfect-matching count read off the gadget's tree normalizer.
+
+    The normalizer comes from the closed-form gadget oracle
+    (gadget_z_exact), which enumerates no spanning tree.  The gadget has
+    one left edge per bipartite edge; past 16 edges its nonempty left
+    subsets exceed DEFAULT_GADGET_MINOR_CAP and it is refused with
+    CapExceeded("gadget minor cap", CLI exit 3) before any minor.
+    """
+    value = gadget_z_exact(build_pm_gadget(bipartite), "tree")
     if value.denominator != 1:
         raise AssertionError("matching count came out non-integral")
     return int(value)
@@ -401,7 +401,8 @@ def gadget_minor_table(instance: GadgetInstance) -> dict:
 def _check_minor_cap(instance: GadgetInstance) -> None:
     """Refuse a gadget whose 2^m - 1 nonempty left subsets, the most minors
     the table search can evaluate, exceed DEFAULT_GADGET_MINOR_CAP.  This
-    admits every n <= 4 mixed-discriminant gadget and no larger one."""
+    admits every n <= 4 mixed-discriminant gadget and no larger one, and
+    every matching gadget of at most 16 bipartite edges."""
     m = instance.num_left
     if 2**m - 1 > DEFAULT_GADGET_MINOR_CAP:
         raise CapExceeded(

@@ -1,9 +1,20 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from treedpp import jsonio
 from treedpp.cli import main
+
+# Hypothesis caches source constants and unicode tables even without an
+# example database; keep them out of the working tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "treedpp-hypothesis")
 
 
 @pytest.fixture
@@ -187,6 +198,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,flag", [
         ("apreduce-zt", "--max-edges"), ("apreduce-zf", "--max-vertices"),
         ("znorm", "--max-vertices"), ("zt", "--max-edges"), ("zf", "--max-vertices"),
+        ("reduce-pm-zt", "--max-edges"),
     ])
     def test_unread_cap_flags_refused(self, command, flag, md_identity_file, capsys):
         # A command offers only the caps it reads; any other is a parse error.
@@ -194,6 +206,30 @@ class TestExitCodes:
             main([command, md_identity_file, flag, "30"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text,field", [
+        ("znorm", '{"rows": 5}', "rows"),
+        ("znorm", '{"rows": [1, 2]}', "rows"),
+        ("count-trees",
+         '{"vertices": ["1", "2"], "edges": [["a", "1", "2"]], "weights": ["2"]}',
+         "weights"),
+        ("count-trees", '{"vertices": ["1"], "edges": 5}', "edges"),
+        ("count-pm", '{"left": ["u"], "right": ["w"], "edges": 5}', "edges"),
+        ("mixed-disc", '{"matrices": 5}', "matrices"),
+        # Mixed label types cannot be sorted when the trees are enumerated.
+        ("zt", '{"graph": {"vertices": ["1", "2", "3"], "edges": [[1, "1", "2"], '
+               '["b", "2", "3"]]}, "matrix": {"labels": [1, "b"], '
+               '"rows": [[1, 0], [0, 1]]}, "constraint": "tree"}', "labels"),
+    ])
+    def test_malformed_container_rejected(self, command, text, field, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        assert repr(field) in capsys.readouterr().err
+
+    def test_bad_epsilon_literal(self, md_identity_file, capsys):
+        assert main(["apreduce-zt", md_identity_file, "--epsilon", "1/0"]) == 2
+        assert "1/0" in capsys.readouterr().err
 
     def test_apreduce_minor_cap(self, tmp_path, capsys):
         eye = {"labels": [str(i) for i in range(5)],
@@ -223,3 +259,94 @@ class TestVerifyCommand:
         assert "FAIL" not in first
         assert main(["verify", "--seed", "42", "--n", "2"]) == 0
         assert capsys.readouterr().out == first
+
+
+# One valid input per file format, with the commands that read it.
+FIXTURES = (
+    ({
+        "graph": {"vertices": ["1", "2", "3"],
+                  "edges": [["a", "1", "2"], ["b", "2", "3"], ["c", "1", "3"]]},
+        "matrix": {"labels": ["a", "b", "c"],
+                   "rows": [["2", "1", "0"], ["1", "2", "0"], ["0", "0", "1"]]},
+        "weights": ["1", "1/2", "3"],
+        "constraint": "tree",
+        "parts": None,
+    }, ("zt", "zf", "sample", "reduce-zt-zf")),
+    ({"labels": ["a", "b"], "rows": [["1", "0"], ["0", "2"]], "weights": ["1", "2"]},
+     ("znorm",)),
+    ({"vertices": [1, 2, 3], "edges": [["a", 1, 2], ["b", 2, 3]], "weights": {"a": "2"}},
+     ("count-trees",)),
+    ({"left": ["u1", "u2"], "right": ["w1", "w2"],
+      "edges": [["u1", "w1"], ["u1", "w2"], ["u2", "w2"]]},
+     ("count-pm", "reduce-pm-zt")),
+    ({"matrices": [{"labels": ["0", "1"], "rows": [["1", "0"], ["0", "1"]]},
+                   {"labels": ["0", "1"], "rows": [["1", "1"], ["1", "1"]]}]},
+     ("mixed-disc", "apreduce-zt", "apreduce-zf")),
+)
+FILE_COMMANDS = tuple(c for _, commands in FIXTURES for c in commands)
+FIELDS = ("rows", "labels", "weights", "vertices", "edges", "left", "right",
+          "matrices", "matrix", "graph", "constraint", "parts")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats(allow_nan=False)
+    | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "a", "tree", "partition"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(value, prefix=()):
+    """Every path (a tuple of keys and indices) into a JSON value."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A command and a valid input of its format with one value replaced or
+    removed."""
+    doc, commands = draw(st.sampled_from(FIXTURES))
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return draw(st.sampled_from(commands)), doc
+
+
+class TestFuzz:
+    """Any JSON file gives exit 0, 2 or 3 on every command that reads one:
+    an answer, an input error or a cap, never a traceback."""
+
+    @staticmethod
+    def run(tmp_path_factory, command, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(path)])
+        assert code in (0, 2, 3), (command, doc, err.getvalue())
+        return code
+
+    @settings(database=None, deadline=None, max_examples=150)
+    @given(command=st.sampled_from(FILE_COMMANDS), doc=json_values)
+    def test_arbitrary_json(self, tmp_path_factory, command, doc):
+        self.run(tmp_path_factory, command, doc)
+
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(case=mutated_fixtures())
+    def test_mutated_fixtures(self, tmp_path_factory, case):
+        self.run(tmp_path_factory, *case)
+
+    def test_fixtures_are_valid(self, tmp_path_factory):
+        for doc, commands in FIXTURES:
+            for command in commands:
+                assert self.run(tmp_path_factory, command, doc) == 0, command

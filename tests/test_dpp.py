@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from treedpp import dpp as dpp_module
 from treedpp.dpp import (
     ConstrainedDPP,
     partition_constrained_sum,
@@ -10,6 +11,7 @@ from treedpp.dpp import (
     z_forest,
     z_tree,
 )
+from treedpp.errors import CapExceeded
 from treedpp.graphs import Graph, count_spanning_trees, enumerate_spanning_trees
 from treedpp.linalg import SymMatrix, WeightedPSD
 from treedpp.rational import ONE, Rat
@@ -95,6 +97,17 @@ class TestPartitionSum:
         m = identity_kernel(("1", "2"))
         with pytest.raises(ValueError, match="disjoint"):
             partition_constrained_sum(m, (("1", "2"), ("2",)))
+
+    def test_transversal_cap(self, monkeypatch):
+        m = identity_kernel(("1", "2", "3", "4"))
+        parts = (("1", "2"), ("3", "4"))
+        monkeypatch.setattr(dpp_module, "DEFAULT_TRANSVERSAL_CAP", 3)
+        with pytest.raises(CapExceeded, match="transversal enumeration cap: 4 exceeds 3"):
+            partition_constrained_sum(m, parts)
+        with pytest.raises(CapExceeded, match="transversal enumeration cap"):
+            sample_exact(ConstrainedDPP(m, "partition", parts=parts), seed=0, count=1)
+        monkeypatch.setattr(dpp_module, "DEFAULT_TRANSVERSAL_CAP", 4)
+        assert partition_constrained_sum(m, parts) == 4
 
 
 class TestSampling:

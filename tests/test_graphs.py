@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from treedpp import graphs
 from treedpp.errors import CapExceeded
 from treedpp.graphs import (
     BipartiteGraph,
@@ -172,9 +173,10 @@ class TestPerfectMatchings:
     def test_no_edges(self):
         assert count_perfect_matchings(BipartiteGraph(("u",), ("w",), ())) == 0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "DEFAULT_MATCHING_SIZE_CAP", 2)
         with pytest.raises(CapExceeded, match="n = 3 exceeds 2"):
-            count_perfect_matchings(complete_bipartite(3), max_size=2)
+            count_perfect_matchings(complete_bipartite(3))
 
     def test_matches_ryser(self):
         # Independent oracle: Ryser's inclusion-exclusion permanent.

@@ -10,7 +10,6 @@ from treedpp.linalg import (
     det_bareiss,
     is_psd,
     ldlt,
-    principal_minor,
     unconstrained_normalizer,
 )
 from treedpp.rational import ONE, Rat
@@ -82,20 +81,20 @@ class TestSymMatrix:
 class TestPrincipalMinor:
     def test_empty_subset_is_one(self):
         m = WeightedPSD(SymMatrix(("a", "b"), identity(2)))
-        assert principal_minor(m, ()) == 1
+        assert m.minor(()) == 1
 
     def test_diagonal_weight_product(self):
         m = WeightedPSD(SymMatrix(("1", "2"), identity(2)), {"1": 4, "2": 9})
-        assert principal_minor(m, ("1", "2")) == 36
+        assert m.minor(("1", "2")) == 36
 
     def test_singular_base(self):
         m = WeightedPSD(SymMatrix(("1", "2"), [[1, 1], [1, 1]]), {"1": 4, "2": 4})
-        assert principal_minor(m, ("1", "2")) == 0
+        assert m.minor(("1", "2")) == 0
 
     def test_unknown_label(self):
         m = WeightedPSD(SymMatrix(("a",), [[1]]))
         with pytest.raises(ValueError, match="unknown matrix label"):
-            principal_minor(m, ("zzz",))
+            m.minor(("zzz",))
 
     def test_nonnegative_on_gram(self):
         rng = random.Random(5)

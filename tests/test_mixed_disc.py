@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 import sympy
 
+from treedpp import mixed_disc
 from treedpp.dpp import partition_constrained_sum
 from treedpp.errors import CapExceeded
 from treedpp.linalg import SymMatrix, det_bareiss, is_psd
@@ -67,6 +68,13 @@ class TestMixedDiscriminant:
     def test_cap(self):
         with pytest.raises(CapExceeded, match="n = 8 exceeds 7"):
             mixed_discriminant([identity_matrix(8)] * 8)
+
+    def test_cap_is_read_per_call(self, monkeypatch):
+        monkeypatch.setattr(mixed_disc, "DEFAULT_MD_DIM_CAP", 2)
+        with pytest.raises(CapExceeded, match="n = 3 exceeds 2"):
+            mixed_discriminant([identity_matrix(3)] * 3)
+        monkeypatch.setattr(mixed_disc, "DEFAULT_MD_DIM_CAP", 3)
+        assert mixed_discriminant([identity_matrix(3)] * 3) == 6
 
     def test_symmetry_under_permutation(self):
         rng = random.Random(6)

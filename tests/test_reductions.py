@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treedpp import reductions
+from treedpp import dpp, graphs, reductions
 from treedpp.dpp import partition_constrained_sum, z_forest, z_tree
 from treedpp.errors import CapExceeded
 from treedpp.graphs import BipartiteGraph, enumerate_spanning_trees, is_spanning_tree
@@ -49,6 +49,12 @@ def identity_md(n):
         [[1 if i == j else 0 for j in range(n)] for i in range(n)],
     )
     return MDInstance((eye,) * n)
+
+
+def complete_bipartite(n):
+    left = tuple(f"u{i}" for i in range(n))
+    right = tuple(f"w{i}" for i in range(n))
+    return BipartiteGraph(left, right, [(u, w) for u in left for w in right])
 
 
 class TestPmGadget:
@@ -100,12 +106,45 @@ class TestPmGadget:
             b = random_bipartite(rng, rng.randint(1, 3))
             assert count_pm_via_zt(b) == count_perfect_matchings(b)
 
-    def test_gadget_cap(self):
-        left = tuple(f"u{i}" for i in range(4))
-        right = tuple(f"w{i}" for i in range(4))
-        b = BipartiteGraph(left, right, [(u, w) for u in left for w in right])
-        with pytest.raises(CapExceeded, match="gadget enumeration cap"):
-            count_pm_via_zt(b, max_edges=24)
+    def test_gadget_cap(self, monkeypatch):
+        # K4,4 has m = 16 left edges: 2^16 - 1 nonempty left subsets.
+        evaluated = count_minor_dets(monkeypatch)
+        monkeypatch.setattr(reductions, "DEFAULT_GADGET_MINOR_CAP", 2**16 - 2)
+        with pytest.raises(CapExceeded, match="gadget minor cap"):
+            count_pm_via_zt(complete_bipartite(4))
+        assert evaluated == []
+
+    def test_k44_counts_matchings(self):
+        # 32 gadget edges: over the edge cap of the old enumeration route.
+        assert count_pm_via_zt(complete_bipartite(4)) == 24
+
+    def test_enumerates_no_tree(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated spanning trees")
+
+        monkeypatch.setattr(graphs, "enumerate_spanning_trees", forbidden)
+        monkeypatch.setattr(dpp, "enumerate_spanning_trees", forbidden)
+        assert count_pm_via_zt(complete_bipartite(3)) == 6
+
+    def test_oracle_matches_generic_normalizers(self):
+        k33 = build_pm_gadget(complete_bipartite(3))
+        empty_part = BipartiteGraph(("u1", "u2"), ("w1", "w2"),
+                                    [("u1", "w1"), ("u1", "w2")])
+        for inst in (
+            k33,
+            reweight_rank_one(k33, 2, Rat(1, 3)),
+            build_pm_gadget(empty_part),
+            reweight_rank_one(build_pm_gadget(complete_bipartite(2)), Rat(3, 2), 2),
+        ):
+            g = inst.graph
+            assert gadget_z_exact(inst, "tree") == z_tree(
+                inst.kernel, g, max_vertices=g.num_vertices
+            )
+            # K3,3's 18 gadget edges carry 157,464 forests (~5 s): trees only.
+            if g.num_edges <= 8:
+                assert gadget_z_exact(inst, "forest") == z_forest(
+                    inst.kernel, g, max_edges=g.num_edges
+                )
 
 
 class TestLagrange:
