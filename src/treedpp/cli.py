@@ -9,6 +9,7 @@ rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,6 +195,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treedpp",

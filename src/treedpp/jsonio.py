@@ -7,6 +7,7 @@ bit-exact.  JSON floats are rejected outright.
 from __future__ import annotations
 
 import json
+import re
 from typing import Mapping
 
 from .dpp import ConstrainedDPP
@@ -17,11 +18,15 @@ from .rational import as_rational, bit_length, format_rational
 
 
 def parse_rational(value):
+    """An integer, or a string of the form "p" or "p/q"; decimals, exponents,
+    underscores and spaces are refused before any conversion."""
     if isinstance(value, bool):
         raise ValueError("expected a rational as 'p/q' string or integer")
     if isinstance(value, int):
         return as_rational(value)
     if isinstance(value, str):
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+            raise ValueError(f"bad rational literal {value!r}")
         try:
             return as_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -197,7 +202,6 @@ def report_to_obj(report) -> dict:
         "oracle_value": _opt_rat(report.oracle_value),
         "estimate": _opt_rat(report.estimate),
         "reference": format_rational(report.reference),
-        "scale": format_rational(report.scale),
         "bounds_check": {
             "lower": format_rational(report.bounds_lower),
             "upper": format_rational(report.bounds_upper),

@@ -91,11 +91,6 @@ class SymMatrix:
         except KeyError as exc:
             raise ValueError(f"unknown matrix label {exc.args[0]!r}") from None
 
-    def submatrix(self, labels: Sequence) -> "SymMatrix":
-        pos = [self._pos[a] for a in labels]
-        rows = [[self.entries[i][j] for j in pos] for i in pos]
-        return SymMatrix(tuple(labels), rows)
-
     def minor_det(self, positions: Sequence[int]) -> Rational:
         """Determinant of the principal submatrix at the given positions.
 
@@ -179,10 +174,6 @@ class WeightedPSD:
     def scaled_all(self, factor) -> "WeightedPSD":
         f = as_rational(factor)
         return WeightedPSD(self.base, {a: w * f for a, w in self.weights.items()})
-
-    def restrict(self, labels: Sequence) -> "WeightedPSD":
-        sub = self.base.submatrix(labels)
-        return WeightedPSD(sub, {a: self.weights[a] for a in labels})
 
 
 def _as_rows(matrix) -> list:

@@ -134,11 +134,15 @@ def find_witness(instance: "GadgetInstance") -> tuple | None:
     Contracting the right edges (the kernel is block diagonal with an
     identity on them) reduces the search to a common independent transversal
     of the left-edge linear matroid and the one-per-part partition matroid.
+    Independence is a positive minor of the gadget kernel itself, whose
+    determinant cache gadget_minor_table then reuses.
     Returns the full edge set, sorted, or None.
     """
-    left = tuple(instance.left_edges)
-    restricted = instance.kernel.restrict(left)
-    lin = linear_matroid(restricted)
+    kernel = instance.kernel
+    lin = IndependenceOracle(
+        ground=tuple(instance.left_edges),
+        is_independent=lambda s: kernel.minor(s) > 0,
+    )
     part = partition_matroid(instance.parts, [1] * len(instance.parts))
     picked = matroid_intersection(lin, part, len(instance.parts))
     if picked is None:

@@ -4,7 +4,7 @@ The encoding factors each input kernel as a nonnegative combination of
 rank-one terms (pivoted LDL^T), lays the factor vectors out as a weighted
 Gram matrix over an n x n grid of labels, and groups the grid by source
 kernel.  Summing minors over one-label-per-part transversals then equals
-the mixed discriminant exactly (Cauchy-Binet), with scale 1.
+the mixed discriminant itself (Cauchy-Binet), with no scaling constant.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ class MDInstance:
 class PartitionInstance:
     """Weighted PSD matrix on n^2 labels with an equal-sized partition.
 
-    scale is the exact constant relating the transversal-constrained minor
-    sum to the mixed discriminant of the source kernels.
+    From build_partition_instance, the transversal-constrained minor sum
+    equals the mixed discriminant of the source kernels.
     """
 
     matrix: WeightedPSD
     parts: tuple
-    scale: Rational
-    source: MDInstance | None = None
 
     def __post_init__(self):
         parts = tuple(tuple(p) for p in self.parts)
@@ -66,10 +64,6 @@ class PartitionInstance:
             raise ValueError("parts must partition the matrix labels")
         if len(parts) * len(parts) != self.matrix.dimension:
             raise ValueError("ground size must be the square of the part count")
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
 
 
 def _as_instance(kernels) -> MDInstance:
@@ -135,4 +129,4 @@ def build_partition_instance(kernels) -> PartitionInstance:
     base = SymMatrix(labels, rows)
     matrix = WeightedPSD(base, weights)
     parts = tuple(tuple((i, j + 1) for j in range(n)) for i in range(1, n + 1))
-    return PartitionInstance(matrix=matrix, parts=parts, scale=ONE, source=inst)
+    return PartitionInstance(matrix=matrix, parts=parts)

@@ -1,20 +1,15 @@
 """Exact rational scalars and small helpers shared across the package.
 
 All core arithmetic is exact; floats never enter any computation that
-produces a reported value.  gmpy2's GMP-backed rationals are used when
-available, with the stdlib Fraction as a drop-in fallback.
+produces a reported value.  Rat is the stdlib Fraction.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 Rational = Rat
 
-ZERO = Rat(0)
 ONE = Rat(1)
 
 
@@ -54,21 +49,24 @@ def bit_length(value) -> int:
     return max(int(x.numerator).bit_length(), int(x.denominator).bit_length())
 
 
-def exp_enclosure(t, terms: int = 30) -> tuple:
+_EXP_TERMS = 30
+
+
+def exp_enclosure(t) -> tuple:
     """Rational lower/upper bounds on e**t for rational |t| < 1.
 
-    The enclosure is tight (relative width well below 1/terms!), so an
+    The enclosure is tight (relative width well below 1/_EXP_TERMS!), so an
     inner bound can stand in for the irrational e**t in inequalities.
     """
     t = as_rational(t)
     if t < 0:
-        lo, hi = exp_enclosure(-t, terms)
+        lo, hi = exp_enclosure(-t)
         return ONE / hi, ONE / lo
     if t >= 1:
         raise ValueError("exp_enclosure requires |t| < 1")
     total = ONE
     term = ONE
-    for k in range(1, terms + 1):
+    for k in range(1, _EXP_TERMS + 1):
         term = term * t / k
         total += term
     # Remaining tail is term * (t/(n+1) + ...) < term * t / (1 - t).

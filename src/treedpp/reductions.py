@@ -8,7 +8,7 @@ reports what happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .dpp import _SplitMix64, partition_constrained_sum, z_forest
@@ -30,7 +30,8 @@ class GadgetInstance:
     The graph is a spine of n+1 vertices; consecutive spine vertices are
     joined by parallel two-edge paths, one per ground element, giving a left
     edge and a right edge each.  The kernel base carries the source matrix
-    on the left block and an identity on the right block with no coupling.
+    on the left block, keyed by left_source, and an identity on the right
+    block with no coupling; _chain_gadget builds it for both reductions.
     Reweighted copies accumulate left/right factors and remember the
     original instance.  _buckets caches, on the original only, the table of
     left-minor sums by per-part left counts (gadget_minor_table), from which
@@ -43,8 +44,6 @@ class GadgetInstance:
     left_edges: tuple
     right_edges: tuple
     parts: tuple
-    source: object
-    scale: Rational
     left_source: dict
     left_factor: Rational = ONE
     right_factor: Rational = ONE
@@ -86,56 +85,74 @@ class GadgetInstance:
         return len(self.left_edges)
 
 
-def build_pm_gadget(bipartite: BipartiteGraph) -> GadgetInstance:
-    """Gadget whose tree normalizer counts the perfect matchings of the input.
+def _chain_gadget(blocks, entry, weights) -> GadgetInstance:
+    """The chain gadget over blocks, one ordered list of left-source keys per
+    part.
 
-    One two-edge path per bipartite edge; the left block of the kernel has a
-    1 exactly where two left edges point at the same right-side vertex, so a
-    tree's minor survives only when its left edges pick distinct partners.
+    Part i joins spine vertices v_i and v_(i+1) by one two-edge path
+    (l{i}.{k}, r{i}.{k}) through w{i}.{k} per key; the kernel's left block
+    is entry(key_a, key_b), its right block the identity.  weights maps
+    each key to its left weight, or is None for unit weights.
     """
-    if len(bipartite.left) != len(bipartite.right):
-        raise ValueError("bipartite sides must be balanced")
-    n = bipartite.size
-    left_pos = {u: i + 1 for i, u in enumerate(bipartite.left)}
-    right_pos = {w: j + 1 for j, w in enumerate(bipartite.right)}
-    spine = [f"u{i:02d}" for i in range(1, n + 2)]
+    n = len(blocks)
+    spine = [f"v{i:02d}" for i in range(1, n + 2)]
     vertices = list(spine)
     left_ids = []
     right_ids = []
     edges = []
     left_source = {}
-    groups: list = [[] for _ in range(n)]
-    for u, w in sorted(bipartite.edges, key=lambda e: (left_pos[e[0]], right_pos[e[1]])):
-        i, j = left_pos[u], right_pos[w]
-        mid = f"u{i:02d}w{j:02d}"
-        vertices.append(mid)
-        lid, rid = f"l{i:02d}.{j:02d}", f"r{i:02d}.{j:02d}"
-        edges.append((lid, spine[i - 1], mid))
-        edges.append((rid, mid, spine[i]))
-        left_ids.append(lid)
-        right_ids.append(rid)
-        left_source[lid] = (u, w)
-        groups[i - 1].append(lid)
-    graph = Graph(vertices, edges)
+    groups = []
+    for i, keys in enumerate(blocks, start=1):
+        group = []
+        for k, key in enumerate(keys, start=1):
+            mid = f"w{i:02d}.{k:02d}"
+            vertices.append(mid)
+            lid, rid = f"l{i:02d}.{k:02d}", f"r{i:02d}.{k:02d}"
+            edges.append((lid, spine[i - 1], mid))
+            edges.append((rid, mid, spine[i]))
+            left_ids.append(lid)
+            right_ids.append(rid)
+            left_source[lid] = key
+            group.append(lid)
+        groups.append(tuple(group))
     labels = left_ids + right_ids
-    def entry(a, b):
+
+    def cell(a, b):
         if a in left_source and b in left_source:
-            return 1 if left_source[a][1] == left_source[b][1] else 0
-        if a == b:
-            return 1
-        return 0
-    rows = [[entry(a, b) for b in labels] for a in labels]
-    kernel = WeightedPSD(SymMatrix(labels, rows))
+            return entry(left_source[a], left_source[b])
+        return 1 if a == b else 0
+
+    base = SymMatrix(labels, [[cell(a, b) for b in labels] for a in labels])
+    if weights is None:
+        kernel = WeightedPSD(base)
+    else:
+        wmap = {lid: weights[left_source[lid]] for lid in left_ids}
+        wmap.update({rid: ONE for rid in right_ids})
+        kernel = WeightedPSD(base, wmap)
     return GadgetInstance(
-        graph=graph,
+        graph=Graph(vertices, edges),
         kernel=kernel,
         left_edges=tuple(left_ids),
         right_edges=tuple(right_ids),
-        parts=tuple(tuple(g) for g in groups),
-        source=bipartite,
-        scale=ONE,
+        parts=tuple(groups),
         left_source=left_source,
     )
+
+
+def build_pm_gadget(bipartite: BipartiteGraph) -> GadgetInstance:
+    """Gadget whose tree normalizer counts the perfect matchings of the input.
+
+    Part i holds one two-edge path per edge (u_i, w), in right-vertex
+    order; the left block of the kernel has a 1 exactly where two left
+    edges point at the same right-side vertex, so a tree's minor survives
+    only when its left edges pick distinct partners.
+    """
+    right_pos = {w: j for j, w in enumerate(bipartite.right)}
+    blocks = [
+        sorted((e for e in bipartite.edges if e[0] == u), key=lambda e: right_pos[e[1]])
+        for u in bipartite.left
+    ]
+    return _chain_gadget(blocks, lambda a, b: int(a[1] == b[1]), None)
 
 
 def build_md_gadget(instance: PartitionInstance) -> GadgetInstance:
@@ -144,49 +161,11 @@ def build_md_gadget(instance: PartitionInstance) -> GadgetInstance:
     Left edges inherit the partition instance's base entries and weights;
     right edges are unit identity columns.
     """
-    n = instance.num_parts
-    spine = [f"v{i:02d}" for i in range(1, n + 2)]
-    vertices = list(spine)
-    left_ids = []
-    right_ids = []
-    edges = []
-    left_source = {}
-    groups: list = []
-    for i, part in enumerate(instance.parts, start=1):
-        group = []
-        for k, label in enumerate(sorted(part), start=1):
-            mid = f"w{i:02d}.{k:02d}"
-            vertices.append(mid)
-            lid, rid = f"l{i:02d}.{k:02d}", f"r{i:02d}.{k:02d}"
-            edges.append((lid, spine[i - 1], mid))
-            edges.append((rid, mid, spine[i]))
-            left_ids.append(lid)
-            right_ids.append(rid)
-            left_source[lid] = label
-            group.append(lid)
-        groups.append(tuple(group))
-    graph = Graph(vertices, edges)
-    labels = left_ids + right_ids
     base = instance.matrix.base
-    def entry(a, b):
-        if a in left_source and b in left_source:
-            return base[left_source[a], left_source[b]]
-        if a == b:
-            return 1
-        return 0
-    rows = [[entry(a, b) for b in labels] for a in labels]
-    weights = {lid: instance.matrix.weights[left_source[lid]] for lid in left_ids}
-    weights.update({rid: ONE for rid in right_ids})
-    kernel = WeightedPSD(SymMatrix(labels, rows), weights)
-    return GadgetInstance(
-        graph=graph,
-        kernel=kernel,
-        left_edges=tuple(left_ids),
-        right_edges=tuple(right_ids),
-        parts=tuple(groups),
-        source=instance,
-        scale=instance.scale,
-        left_source=left_source,
+    return _chain_gadget(
+        [sorted(part) for part in instance.parts],
+        lambda a, b: base[a, b],
+        instance.matrix.weights,
     )
 
 
@@ -206,18 +185,13 @@ def reweight_rank_one(
         raise ValueError("reweighting factors must be positive")
     factors = {e: lf * lf for e in instance.left_edges}
     factors.update({e: rf * rf for e in instance.right_edges})
-    return GadgetInstance(
-        graph=instance.graph,
+    return replace(
+        instance,
         kernel=instance.kernel.scaled(factors),
-        left_edges=instance.left_edges,
-        right_edges=instance.right_edges,
-        parts=instance.parts,
-        source=instance.source,
-        scale=instance.scale,
-        left_source=instance.left_source,
         left_factor=instance.left_factor * lf,
         right_factor=instance.right_factor * rf,
         origin=instance.origin or instance,
+        _buckets={},
     )
 
 
@@ -449,17 +423,16 @@ class ReductionReport:
     epsilon: Rational
     oracle_mode: str
     declared_zero: bool
-    witness: tuple | None
-    x: Rational | None
-    y: Rational | None
-    oracle_value: Rational | None
-    estimate: Rational | None
     reference: Rational
-    scale: Rational
     bounds_lower: Rational
     bounds_upper: Rational
     bounds_pass: bool
-    oracle_calls: tuple
+    witness: tuple | None = None
+    x: Rational | None = None
+    y: Rational | None = None
+    oracle_value: Rational | None = None
+    estimate: Rational | None = None
+    oracle_calls: tuple = ()
 
     @property
     def value(self) -> Rational:
@@ -490,7 +463,7 @@ def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
     inst = build_md_gadget(pinst)
     _check_minor_cap(inst)
     # Independent reference: the transversal route, never the tree route.
-    reference = partition_constrained_sum(pinst.matrix, pinst.parts) / pinst.scale
+    reference = partition_constrained_sum(pinst.matrix, pinst.parts)
     witness = find_witness(inst)
     if witness is None:
         return ReductionReport(
@@ -498,17 +471,10 @@ def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
             epsilon=eps,
             oracle_mode=spec.mode,
             declared_zero=True,
-            witness=None,
-            x=None,
-            y=None,
-            oracle_value=None,
-            estimate=None,
             reference=reference,
-            scale=pinst.scale,
             bounds_lower=Rat(0),
             bounds_upper=Rat(0),
             bounds_pass=reference == 0,
-            oracle_calls=(),
         )
     n = inst.num_parts
     m = inst.num_left
@@ -522,13 +488,13 @@ def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
         y = None
         queried = reweight_rank_one(inst, 1, x)
         zhat = session.query(queried, "tree", eps / 2)
-        estimate = zhat / (x ** (2 * m) * pinst.scale)
+        estimate = zhat / x ** (2 * m)
     else:
         y = ratio * 4 / eps
         x = ratio * y ** (2 * m - 2 * n) * 4 / eps
         queried = reweight_rank_one(inst, y, x)
         zhat = session.query(queried, "forest", eps / 2)
-        estimate = zhat / (x ** (2 * m) * y ** (2 * n) * pinst.scale)
+        estimate = zhat / (x ** (2 * m) * y ** (2 * n))
     lower, upper = _sandwich_bounds(spec.mode, eps, reference)
     return ReductionReport(
         target=target,
@@ -541,7 +507,6 @@ def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
         oracle_value=zhat,
         estimate=estimate,
         reference=reference,
-        scale=pinst.scale,
         bounds_lower=lower,
         bounds_upper=upper,
         bounds_pass=lower <= estimate <= upper,

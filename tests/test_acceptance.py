@@ -83,8 +83,8 @@ def test_criterion_3_partition_encoding_exact():
         inst = random_md_instance(rng, n)
         p = build_partition_instance(inst)
         lhs = partition_constrained_sum(p.matrix, p.parts)
-        assert lhs == p.scale * mixed_discriminant(inst)
-    _report(3, "partition encoding equals scale * mixed discriminant, 100 instances", started)
+        assert lhs == mixed_discriminant(inst)
+    _report(3, "partition encoding equals the mixed discriminant, 100 instances", started)
 
 
 def test_criterion_4_gadget_tree_sum_matches_transversals():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from treedpp import jsonio
-from treedpp.cli import main
+from treedpp.cli import _build_parser, main
 
 # Hypothesis caches source constants and unicode tables even without an
 # example database; keep them out of the working tree.
@@ -227,6 +227,15 @@ class TestExitCodes:
         assert main([command, str(path)]) == 2
         assert repr(field) in capsys.readouterr().err
 
+    # Only "p" and "p/q" are rationals: decimals, underscores, spaces and
+    # exponents are refused before any big-integer conversion.
+    @pytest.mark.parametrize("literal", ["0.5", "1_000", " 3/4 ", "1e100000", "1e4000000"])
+    def test_bad_rational_literal_rejected(self, literal, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        jsonio.write_json(path, {"rows": [[literal]]})
+        assert main(["znorm", str(path)]) == 2
+        assert "bad rational literal" in capsys.readouterr().err
+
     def test_bad_epsilon_literal(self, md_identity_file, capsys):
         assert main(["apreduce-zt", md_identity_file, "--epsilon", "1/0"]) == 2
         assert "1/0" in capsys.readouterr().err
@@ -249,6 +258,10 @@ class TestExitCodes:
         )
         assert main(["count-pm", str(path)]) == 3
         capsys.readouterr()
+
+
+def test_parser_built_once():
+    assert _build_parser() is _build_parser()
 
 
 class TestVerifyCommand:
@@ -289,7 +302,8 @@ FIELDS = ("rows", "labels", "weights", "vertices", "edges", "left", "right",
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats(allow_nan=False)
-    | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "a", "tree", "partition"])
+    | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "0.5", "1e4000000", "a", "tree",
+                       "partition"])
     | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=2), inner, max_size=4),

@@ -109,7 +109,7 @@ class TestPartitionEncoding:
     def test_identity_instance(self):
         p = build_partition_instance([identity_matrix(2)] * 2)
         assert partition_constrained_sum(p.matrix, p.parts) == 2
-        assert p.scale == 1
+        assert mixed_discriminant([identity_matrix(2)] * 2) == 2
 
     def test_structure(self):
         p = build_partition_instance([identity_matrix(2)] * 2)
@@ -125,7 +125,7 @@ class TestPartitionEncoding:
                 inst = random_md_instance(rng, n)
                 p = build_partition_instance(inst)
                 lhs = partition_constrained_sum(p.matrix, p.parts)
-                assert lhs == p.scale * mixed_discriminant(inst)
+                assert lhs == mixed_discriminant(inst)
 
     def test_zero_kernel_kills_everything(self):
         rng = random.Random(22)
@@ -142,9 +142,9 @@ class TestPartitionEncoding:
             inst = MDInstance(mats)
             p = build_partition_instance(inst)
             lhs = partition_constrained_sum(p.matrix, p.parts)
-            assert lhs == p.scale * mixed_discriminant(inst)
+            assert lhs == mixed_discriminant(inst)
 
     def test_partition_instance_validation(self):
         p = build_partition_instance([identity_matrix(2)] * 2)
         with pytest.raises(ValueError, match="equal sizes"):
-            PartitionInstance(p.matrix, (p.parts[0][:1], p.parts[0][1:] + p.parts[1]), Rat(1))
+            PartitionInstance(p.matrix, (p.parts[0][:1], p.parts[0][1:] + p.parts[1]))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from treedpp import dpp, graphs, reductions
 from treedpp.dpp import partition_constrained_sum, z_forest, z_tree
 from treedpp.errors import CapExceeded
 from treedpp.graphs import BipartiteGraph, enumerate_spanning_trees, is_spanning_tree
+from treedpp.jsonio import report_to_obj
 from treedpp.linalg import (
     SymMatrix,
     WeightedPSD,
@@ -279,7 +282,7 @@ def full_rank_gadget():
     matrix = random_weighted_psd(random.Random(74), 4, labels=("a", "b", "c", "d"))
     assert det_bareiss(matrix.base) != 0
     return build_md_gadget(
-        PartitionInstance(matrix=matrix, parts=(("a", "b"), ("c", "d")), scale=ONE)
+        PartitionInstance(matrix=matrix, parts=(("a", "b"), ("c", "d")))
     )
 
 
@@ -557,3 +560,33 @@ class TestMedian:
         ]
         mid = median_estimate(runs)
         assert exp_enclosure(-eps)[1] * d <= mid <= exp_enclosure(eps)[0] * d
+
+
+class TestGoldenReports:
+    """Reports pinned bit for bit: SHA-256 of the sorted-key JSON report on
+    random_md_instance(Random(seed), 3), per route and oracle."""
+
+    DIGESTS = {
+        (0, "zt", "exact"): "15706c4bd430a1fc97248d972b07e71582829e4714d1fbfca66b37c97d1f39a7",
+        (0, "zt", "up"): "aa37e35f3fac8fa32af2d2384fbed0b26033fc27b8742ddf60440173cb495c3b",
+        (0, "zf", "exact"): "570227477421b3d9e3ed4bcdb501d57f1545effa0cc8e422d9c43637bf214d55",
+        (0, "zf", "up"): "97e703278dc5f0207dd1ac99d183c6270368d6133d62f48b08c0a516838d68d8",
+        (1, "zt", "exact"): "5c95e2bfff8b3c6f1ee2fad6289eb729e5824902dfca0dd56944d227eb051bd5",
+        (1, "zt", "up"): "f5aace7c35ba944cf08d59102b64582cc3da406ef923b434d743e444219c8fe4",
+        (1, "zf", "exact"): "bf61e056ec99e4a3603d413d70cc8b3238210c4c5720369d87797228536790e0",
+        (1, "zf", "up"): "7e55c1b8611d223455f2073cf2dbf8b52e412346ba9783d15ffdc7e449d333e6",
+        (2, "zt", "exact"): "0c72f030584d53e3d54359142bb103a373281d8c98b06c903731ad6e9dfb8410",
+        (2, "zt", "up"): "711483cd5868b93b75c4defeb560cb9001d39b0effc737a2fbcc0ef7665fefe1",
+        (2, "zf", "exact"): "682a55d271f5c449d109b87e104499906c9be093ab7580c2d77b996ef72a3bdd",
+        (2, "zf", "up"): "f785b5616abfe0fcb4a32f8dbabd5bd23598ffceac6410104d166dd1ca1624c5",
+    }
+    ROUTES = {"zt": apreduce_md_to_zt, "zf": apreduce_md_to_zf}
+    ORACLES = {"exact": OracleSpec(), "up": OracleSpec(mode="adversarial", direction=1)}
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: "-".join(map(str, k)))
+    def test_report_digest(self, key):
+        seed, route, oracle = key
+        inst = random_md_instance(random.Random(seed), 3)
+        report = self.ROUTES[route](inst, "1/2", oracle=self.ORACLES[oracle])
+        text = json.dumps(report_to_obj(report), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[key]
