@@ -1,19 +1,24 @@
 """Exact normalizing constants and exact sampling for constrained DPPs.
 
-Everything enumerates the constraint family outright and sums exact
-principal minors; the point is bit-exact ground truth at desk scale, not
-asymptotic efficiency.
+One stream, _family, enumerates each constraint's family outright: spanning
+trees, forests, transversals, or every subset.  The tree, forest and
+partition normalizers are one sum of exact principal minors over it
+(_normalizer), and sample_exact reads the same stream in the same order;
+only the unconstrained normalizer has a closed form, det(L + I).  The point
+is bit-exact ground truth at desk scale, not asymptotic efficiency: the
+sum neither prunes zero minors nor updates them incrementally.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, enumerate_forests, enumerate_spanning_trees
-from .linalg import WeightedPSD
+from .linalg import WeightedPSD, unconstrained_normalizer
 from .rational import Rat, Rational
 
 DEFAULT_TRANSVERSAL_CAP = 200_000
@@ -41,12 +46,17 @@ class ConstrainedDPP:
         if constraint in ("tree", "forest"):
             if graph is None:
                 raise ValueError(f"constraint {constraint!r} requires a graph")
-            _check_labels(matrix, graph)
+            if set(matrix.labels) != set(graph.edge_by_id):
+                raise ValueError("matrix labels do not match graph edge ids")
         if constraint == "partition":
             if parts is None:
                 raise ValueError("constraint 'partition' requires parts")
             parts = tuple(tuple(p) for p in parts)
-            _check_partition(matrix, parts)
+            flat = [a for part in parts for a in part]
+            if len(flat) != len(set(flat)):
+                raise ValueError("parts must be disjoint")
+            if set(flat) != set(matrix.labels):
+                raise ValueError("parts must cover exactly the matrix labels")
         self.matrix = matrix
         self.constraint = constraint
         self.graph = graph
@@ -56,57 +66,19 @@ class ConstrainedDPP:
         return f"ConstrainedDPP(constraint={self.constraint!r}, m={self.matrix.dimension})"
 
 
-def _check_labels(matrix: WeightedPSD, graph: Graph) -> None:
-    if set(matrix.labels) != set(graph.edge_by_id):
-        raise ValueError("matrix labels do not match graph edge ids")
-
-
-def _check_partition(matrix: WeightedPSD, parts: tuple) -> None:
-    flat = [a for part in parts for a in part]
-    if len(flat) != len(set(flat)):
-        raise ValueError("parts must be disjoint")
-    if set(flat) != set(matrix.labels):
-        raise ValueError("parts must cover exactly the matrix labels")
-
-
 def z_tree(matrix: WeightedPSD, graph: Graph, max_vertices: int | None = None) -> Rational:
     """Sum of weighted principal minors over all spanning trees; 0 if disconnected."""
-    _check_labels(matrix, graph)
-    total = Rat(0)
-    for tree in enumerate_spanning_trees(graph, max_vertices=max_vertices):
-        total += matrix.minor(tree)
-    return total
+    return _normalizer(ConstrainedDPP(matrix, "tree", graph=graph), max_vertices=max_vertices)
 
 
 def z_forest(matrix: WeightedPSD, graph: Graph, max_edges: int | None = None) -> Rational:
     """Sum of weighted principal minors over all forests, including the empty set."""
-    _check_labels(matrix, graph)
-    total = Rat(0)
-    for forest in enumerate_forests(graph, max_edges=max_edges):
-        total += matrix.minor(forest)
-    return total
-
-
-def _transversals(parts: tuple) -> Iterable[tuple]:
-    count = 1
-    for part in parts:
-        count *= len(part)
-    if count > DEFAULT_TRANSVERSAL_CAP:
-        raise CapExceeded(
-            f"transversal enumeration cap: {count} exceeds {DEFAULT_TRANSVERSAL_CAP}"
-        )
-    ordered = [tuple(sorted(part)) for part in parts]
-    return product(*ordered)
+    return _normalizer(ConstrainedDPP(matrix, "forest", graph=graph), max_edges=max_edges)
 
 
 def partition_constrained_sum(matrix: WeightedPSD, parts: Sequence[Sequence]) -> Rational:
     """Sum of minors over all transversals picking one label from each part."""
-    parts = tuple(tuple(p) for p in parts)
-    _check_partition(matrix, parts)
-    total = Rat(0)
-    for pick in _transversals(parts):
-        total += matrix.minor(pick)
-    return total
+    return _normalizer(ConstrainedDPP(matrix, "partition", parts=parts))
 
 
 class _SplitMix64:
@@ -125,13 +97,29 @@ class _SplitMix64:
         return z ^ (z >> 31)
 
 
-def _family(dpp: ConstrainedDPP, max_vertices, max_edges):
+def _normalizer(dpp: ConstrainedDPP, max_vertices=None, max_edges=None) -> Rational:
+    """Sum of dpp.matrix.minor over dpp's family; det(L + I) when unconstrained."""
+    if dpp.constraint == "none":
+        return unconstrained_normalizer(dpp.matrix)
+    total = Rat(0)
+    for subset in _family(dpp, max_vertices, max_edges):
+        total += dpp.matrix.minor(subset)
+    return total
+
+
+def _family(dpp: ConstrainedDPP, max_vertices, max_edges) -> Iterable[tuple]:
+    """The family of dpp's constraint as label tuples, in a fixed order."""
     if dpp.constraint == "tree":
         return enumerate_spanning_trees(dpp.graph, max_vertices=max_vertices)
     if dpp.constraint == "forest":
         return enumerate_forests(dpp.graph, max_edges=max_edges)
     if dpp.constraint == "partition":
-        return _transversals(dpp.parts)
+        count = prod(len(part) for part in dpp.parts)
+        if count > DEFAULT_TRANSVERSAL_CAP:
+            raise CapExceeded(
+                f"transversal enumeration cap: {count} exceeds {DEFAULT_TRANSVERSAL_CAP}"
+            )
+        return product(*(sorted(part) for part in dpp.parts))
     labels = sorted(dpp.matrix.labels)
     if len(labels) > DEFAULT_SUBSET_GROUND_CAP:
         raise CapExceeded(

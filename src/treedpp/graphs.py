@@ -56,27 +56,8 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_ids(self) -> tuple:
-        return tuple(sorted(self.edge_by_id))
-
     def __repr__(self):
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
-
-    def is_connected(self) -> bool:
-        if self.num_vertices == 0:
-            return True
-        adj: dict = {v: [] for v in self.vertices}
-        for _, u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        stack = [self.vertices[0]]
-        seen = {self.vertices[0]}
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
 
 
 class BipartiteGraph:
@@ -159,11 +140,8 @@ def enumerate_spanning_trees(graph: Graph, max_vertices: int | None = None) -> I
 
 
 def _tree_stream(graph: Graph) -> Iterator[tuple]:
-    if graph.num_vertices == 0 or not graph.is_connected():
-        return
     edges = sorted(graph.edges)
     dsu = _DSU(graph.vertices)
-    roots_needed = graph.num_vertices
 
     def connectable(start: int, components: int) -> bool:
         trail = []
@@ -202,7 +180,8 @@ def _tree_stream(graph: Graph) -> Iterator[tuple]:
             if not connectable(idx + 1, components):
                 return
 
-    yield from rec(0, roots_needed)
+    # A disconnected or empty graph fails the root's connectable check.
+    yield from rec(0, graph.num_vertices)
 
 
 def enumerate_forests(graph: Graph, max_edges: int | None = None) -> Iterator[tuple]:
@@ -243,14 +222,7 @@ def is_forest_subset(graph: Graph, edge_ids: Iterable) -> bool:
 
 def is_spanning_tree(graph: Graph, edge_ids: Iterable) -> bool:
     ids = list(edge_ids)
-    if len(ids) != graph.num_vertices - 1:
-        return False
-    dsu = _DSU(graph.vertices)
-    for eid in ids:
-        u, v = graph.edge_by_id[eid]
-        if dsu.union(u, v) is None:
-            return False
-    return True
+    return len(ids) == graph.num_vertices - 1 and is_forest_subset(graph, ids)
 
 
 def count_spanning_trees(graph: Graph, edge_weights: Mapping | None = None) -> Rational:

@@ -11,12 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .dpp import _SplitMix64, partition_constrained_sum, z_forest
+from .dpp import _SplitMix64, z_forest
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, Graph
 from .linalg import SymMatrix, WeightedPSD
 from .matroid import find_witness
-from .mixed_disc import PartitionInstance, build_partition_instance
+from .mixed_disc import (
+    PartitionInstance,
+    _as_instance,
+    build_partition_instance,
+    mixed_discriminant,
+)
 from .rational import ONE, Rat, Rational, as_rational, exp_enclosure
 
 # Every nonempty left subset of an n = 4 mixed-discriminant gadget (m = 16).
@@ -31,12 +36,13 @@ class GadgetInstance:
     joined by parallel two-edge paths, one per ground element, giving a left
     edge and a right edge each.  The kernel base carries the source matrix
     on the left block, keyed by left_source, and an identity on the right
-    block with no coupling; _chain_gadget builds it for both reductions.
-    Reweighted copies accumulate left/right factors and remember the
-    original instance.  _buckets caches, on the original only, the table of
-    left-minor sums by per-part left counts (gadget_minor_table), from which
-    the exact tree, forest and unconstrained normalizers of every reweighted
-    copy follow in closed form.
+    block with no coupling; only _chain_gadget constructs it, for both
+    reductions.  Reweighted copies accumulate left/right factors and
+    remember the original instance.  _buckets caches, on the original only,
+    the table of left-minor sums by per-part left counts
+    (gadget_minor_table), from which the exact tree, forest and
+    unconstrained normalizers of every reweighted copy follow in closed
+    form.
     """
 
     graph: Graph
@@ -49,32 +55,6 @@ class GadgetInstance:
     right_factor: Rational = ONE
     origin: "GadgetInstance | None" = None
     _buckets: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        n = len(self.parts)
-        m = len(self.left_edges)
-        g = self.graph
-        if g.num_vertices != n + m + 1:
-            raise ValueError("gadget must have n + m + 1 vertices")
-        if g.num_edges != 2 * m or len(self.right_edges) != m:
-            raise ValueError("gadget must have 2m edges, split evenly")
-        ids = set(self.left_edges) | set(self.right_edges)
-        if len(ids) != 2 * m or ids != set(g.edge_by_id):
-            raise ValueError("left/right edges must partition the edge ids")
-        if set(self.kernel.labels) != ids:
-            raise ValueError("kernel labels must match the edge ids")
-        flat = [e for p in self.parts for e in p]
-        if sorted(flat) != sorted(self.left_edges):
-            raise ValueError("parts must partition the left edges")
-        base = self.kernel.base
-        for r1 in self.right_edges:
-            for r2 in self.right_edges:
-                expect = 1 if r1 == r2 else 0
-                if base[r1, r2] != expect:
-                    raise ValueError("kernel must be the identity on right edges")
-            for l1 in self.left_edges:
-                if base[r1, l1] != 0:
-                    raise ValueError("kernel must not couple left and right edges")
 
     @property
     def num_parts(self) -> int:
@@ -236,22 +216,14 @@ def lagrange_leading_coeff(points: Sequence, degree_bound: int) -> Rational:
     return lead
 
 
-def zt_via_zf(
-    matrix: WeightedPSD,
-    graph: Graph,
-    oracle: "OracleSpec | None" = None,
-    max_edges: int | None = None,
-) -> Rational:
+def zt_via_zf(matrix: WeightedPSD, graph: Graph, max_edges: int | None = None) -> Rational:
     """Recover the tree normalizer from forest normalizers by interpolation.
 
     Scaling every weight by x multiplies each forest's minor by x^|S|, so
     the forest normalizer is a polynomial of degree at most |V| - 1 whose
-    leading coefficient is the tree normalizer.  Only the exact oracle is
-    admissible: interpolation amplifies any multiplicative error.
+    leading coefficient is the tree normalizer.  The forest normalizers are
+    exact: interpolation would amplify any multiplicative error.
     """
-    spec = oracle if oracle is not None else OracleSpec()
-    if spec.mode != "exact":
-        raise ValueError("interpolation requires exact oracle")
     n = graph.num_vertices
     if n == 0:
         return Rat(0)
@@ -459,11 +431,14 @@ def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     spec = oracle if oracle is not None else OracleSpec()
+    # Validate the kernels once; the encoding and the reference both read them.
+    kernels = _as_instance(kernels)
     pinst = build_partition_instance(kernels)
     inst = build_md_gadget(pinst)
     _check_minor_cap(inst)
-    # Independent reference: the transversal route, never the tree route.
-    reference = partition_constrained_sum(pinst.matrix, pinst.parts)
+    # Independent reference: the source kernels' permutation sum, which
+    # shares no code with the encoding, the gadget or its minor table.
+    reference = mixed_discriminant(kernels)
     witness = find_witness(inst)
     if witness is None:
         return ReductionReport(

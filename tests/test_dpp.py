@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -110,7 +112,61 @@ class TestPartitionSum:
         assert partition_constrained_sum(m, parts) == 4
 
 
+def seeded_dpps(seed):
+    """One DPP per constraint on a seeded instance: a 5-vertex graph with
+    three extra edges, a 3/2/1 partition of six labels, four free labels."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, 5, extra_edges=3)
+    ids = sorted(g.edge_by_id)
+    m = random_weighted_psd(rng, len(ids), labels=ids)
+    labels = [f"p{i}" for i in range(6)]
+    pm = random_weighted_psd(rng, 6, labels=labels)
+    nm = random_weighted_psd(rng, 4, labels=labels[:4])
+    return {
+        "tree": ConstrainedDPP(m, "tree", graph=g),
+        "forest": ConstrainedDPP(m, "forest", graph=g),
+        "partition": ConstrainedDPP(pm, "partition", parts=(labels[:3], labels[3:5], labels[5:])),
+        "none": ConstrainedDPP(nm, "none"),
+    }
+
+
+class TestNormalizer:
+    @pytest.mark.parametrize("constraint", dpp_module.CONSTRAINTS)
+    def test_matches_the_sampled_stream(self, constraint):
+        # "none" reads det(L + I) rather than the stream; all must agree
+        # with the sum over the family sample_exact draws from.
+        for seed in (0, 1, 2):
+            d = seeded_dpps(seed)[constraint]
+            stream = Rat(0)
+            for subset in dpp_module._family(d, None, None):
+                stream += d.matrix.minor(subset)
+            assert dpp_module._normalizer(d) == stream
+
+
 class TestSampling:
+    # SHA-256 of json.dumps(sample_exact(seeded_dpps(s)[c], seed=s + 11,
+    # count=300)), recorded before the normalizers shared one family stream.
+    DIGESTS = {
+        (0, "tree"): "24b8f7f3a8c603fcc6b49199b9229cfbec0baf75709103eaa121727854b7b707",
+        (0, "forest"): "b435ea33237a816117a9068f578dd5d7e95685608a876518bb7b363df707da61",
+        (0, "partition"): "c8a90a44959721deeed2d9d7d657c03df2347ab08445f907b4140b7b97463a4c",
+        (0, "none"): "bebd1c3802e81ff0dc642856b7edf0d3943f7f63af554ee94c7901731c1a4f0d",
+        (1, "tree"): "d8e8e546a3bfe860f03ba042f5030fadb2a5b0898e830e59fc68650b8150f36a",
+        (1, "forest"): "6ded00bbdb4bf364eca4b5e2ac7693f4c543c7f932dad0babf0993752293e624",
+        (1, "partition"): "3d7827051847c2809c188cb45e573bcc0a1f4db7071922b25cd0ac613ca8b7d6",
+        (1, "none"): "7110f0fd5214efcaa69880835199144afd76fcb76e8ef0f51536cde3bf2d06ec",
+        (2, "tree"): "6c3dae3b7abc646b4a8753d7da708c6e97e23f63562e3e87eb07fe9bbb6ed775",
+        (2, "forest"): "75b1c49f3e9a788d46d44fe3882306e31c465b3f9980d0df59c491ad781a2a48",
+        (2, "partition"): "dce2e81a0c2969f79fd4eb4839b5d712a06a4697569b391e83636b60a0d1260f",
+        (2, "none"): "fad1b86bd4d1ef2d23e119a0528c8427bdd304c67f86d38a860ca998b0432416",
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_draws_pinned(self, key):
+        seed, constraint = key
+        draws = sample_exact(seeded_dpps(seed)[constraint], seed=seed + 11, count=300)
+        assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == self.DIGESTS[key]
+
     def triangle_dpp(self):
         base = SymMatrix(("a", "b", "c"), [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
         return ConstrainedDPP(WeightedPSD(base), "tree", graph=triangle_graph())

@@ -15,6 +15,8 @@ from treedpp.graphs import (
     is_forest_subset,
     is_spanning_tree,
 )
+from treedpp.dpp import z_tree
+from treedpp.linalg import SymMatrix, WeightedPSD
 from treedpp.rational import ONE, Rat
 from treedpp.verify import random_bipartite, random_connected_graph, triangle_graph
 
@@ -74,6 +76,21 @@ class TestSpanningTrees:
     def test_single_vertex(self):
         g = Graph(("1",), ())
         assert list(enumerate_spanning_trees(g)) == [()]
+
+    def test_zero_vertices_is_empty(self):
+        g = Graph((), ())
+        assert list(enumerate_spanning_trees(g)) == []
+        assert z_tree(WeightedPSD(SymMatrix((), [])), g) == 0
+
+    @pytest.mark.parametrize("vertices, ids", [
+        (("1", "2", "3"), ("a", "b", "c")),
+        (("1", "2", "3", "4"), ("a", "b", "c")),
+        (("1", "2", "3", "4"), ("a", "b")),
+        (("1", "2", "3"), ("a", "a")),
+    ], ids=["too-many-edges", "cycle-of-right-size", "too-few-edges", "repeated-edge"])
+    def test_non_trees_rejected(self, vertices, ids):
+        g = Graph(vertices, triangle_graph().edges)
+        assert not is_spanning_tree(g, ids)
 
     def test_cap_is_enforced_and_named(self):
         g = complete_graph(5)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from treedpp import dpp, graphs, reductions
+from treedpp import dpp, graphs, jsonio, reductions
+from treedpp.cli import main
 from treedpp.dpp import partition_constrained_sum, z_forest, z_tree
 from treedpp.errors import CapExceeded
 from treedpp.graphs import BipartiteGraph, enumerate_spanning_trees, is_spanning_tree
@@ -189,12 +190,6 @@ class TestInterpolation:
         g = Graph(("1", "2", "3"), (("a", "1", "2"),))
         m = random_weighted_psd(random.Random(4), 1, labels=("a",))
         assert zt_via_zf(m, g) == 0
-
-    def test_requires_exact_oracle(self):
-        ids = ("a", "b", "c")
-        eye = WeightedPSD(SymMatrix(ids, [[1 if i == j else 0 for j in range(3)] for i in range(3)]))
-        with pytest.raises(ValueError, match="interpolation requires exact oracle"):
-            zt_via_zf(eye, triangle_graph(), oracle=OracleSpec(mode="noisy"))
 
     def test_matches_direct_tree_sum(self):
         rng = random.Random(67)
@@ -418,11 +413,11 @@ class TestApReduceTree:
     @pytest.mark.parametrize("route", [apreduce_md_to_zt, apreduce_md_to_zf])
     def test_n5_refused_before_any_work(self, route, monkeypatch):
         # At the default cap an n = 5 gadget (m = 25) is refused right after
-        # it is built: no transversal reference, witness search or minor.
+        # it is built: no mixed-discriminant reference, witness search or minor.
         def forbidden(*args, **kwargs):
             raise AssertionError("work done before the minor cap check")
 
-        monkeypatch.setattr(reductions, "partition_constrained_sum", forbidden)
+        monkeypatch.setattr(reductions, "mixed_discriminant", forbidden)
         monkeypatch.setattr(reductions, "find_witness", forbidden)
         monkeypatch.setattr(SymMatrix, "minor_det", forbidden)
         with pytest.raises(CapExceeded, match=r"gadget minor cap: 2\^25 - 1"):
@@ -434,6 +429,44 @@ class TestApReduceTree:
         gadget = build_md_gadget(build_partition_instance(inst))
         ratio = unconstrained_normalizer(gadget.kernel) / gadget.kernel.minor(report.witness)
         assert report.x == ratio * 2 / Rat(1, 2)
+
+
+class TestCorruptedEncoding:
+    """The reference is the source kernels' own mixed discriminant, so a run
+    whose encoding comes from another instance (first kernel doubled, which
+    doubles D) must fail its bounds on both routes."""
+
+    @pytest.fixture
+    def encode_other(self, monkeypatch):
+        real = reductions.build_partition_instance
+
+        def doubled_first(kernels):
+            first, *rest = kernels.matrices
+            doubled = SymMatrix(first.labels, [[2 * a for a in row] for row in first.entries])
+            return real(MDInstance((doubled, *rest)))
+
+        monkeypatch.setattr(reductions, "build_partition_instance", doubled_first)
+
+    INSTANCES = (identity_md(2), random_md_instance(random.Random(7), 3))
+
+    @pytest.mark.parametrize("route", [apreduce_md_to_zt, apreduce_md_to_zf])
+    def test_bounds_fail(self, route, encode_other):
+        for inst in self.INSTANCES:
+            report = route(inst, Rat(1, 2))
+            assert report.reference == mixed_discriminant(inst) > 0
+            assert not report.declared_zero
+            assert not report.bounds_pass
+
+    @pytest.mark.parametrize("route", [apreduce_md_to_zt, apreduce_md_to_zf])
+    def test_uncorrupted_control_passes(self, route):
+        for inst in self.INSTANCES:
+            assert route(inst, Rat(1, 2)).bounds_pass
+
+    def test_cli_exits_1(self, encode_other, tmp_path, capsys):
+        path = tmp_path / "md.json"
+        jsonio.write_json(path, jsonio.dump_md_instance(identity_md(2)))
+        assert main(["apreduce-zt", str(path)]) == 1
+        capsys.readouterr()
 
 
 class TestApReduceForest:
