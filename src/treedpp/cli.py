@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 verification/bounds failure, 2 input or parse
 error, 3 enumeration or gadget minor cap exceeded.  All machine-readable
-numbers are exact "p/q" strings; pass --decimal for an additional rounded
-rendering.
+numbers are exact "p/q" strings; pass --decimal K, 0 <= K <=
+MAX_DECIMAL_DIGITS, for an additional rounded rendering.  A negative or
+larger K, or a negative --count, is a parse error (exit 2) before any
+output.
 """
 
 from __future__ import annotations
@@ -140,13 +142,31 @@ def _verify(args):
     return 0 if failed == 0 else 1
 
 
+# The largest --decimal K: its rendering costs a 10^K multiplication.
+MAX_DECIMAL_DIGITS = 10_000
+
+
+def _bounded_int(low, high=None):
+    """argparse type: an int in [low, high], or a parse error (exit 2)."""
+
+    def parse(text):
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's name for an unparsable value
+    return parse
+
+
 # flag: argparse keywords.
 _OPTIONS = {
     "--max-vertices": dict(type=int, metavar="N",
                            help="override the spanning-tree vertex cap"),
     "--max-edges": dict(type=int, metavar="N", help="override the forest edge cap"),
     "--seed": dict(type=int, default=0),
-    "--count": dict(type=int, default=10),
+    "--count": dict(type=_bounded_int(0), default=10),
     "--epsilon": dict(default="1/2", metavar="P/Q"),
     "--oracle": dict(dest="oracle_mode", default="exact",
                      choices=("exact", "noisy", "adversarial")),
@@ -210,8 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         if meta is not None:
             p.add_argument("path", metavar=meta, help=f"path to the {meta} JSON file")
-            p.add_argument("--decimal", type=int, metavar="K",
-                           help="also print a K-digit decimal rendering")
+            p.add_argument("--decimal", type=_bounded_int(0, MAX_DECIMAL_DIGITS),
+                           metavar="K",
+                           help="also print a K-digit decimal rendering, "
+                           f"0 <= K <= {MAX_DECIMAL_DIGITS}")
             p.add_argument("--json", dest="json_path", metavar="OUT",
                            help="write a JSON result to OUT")
         for flag in options:

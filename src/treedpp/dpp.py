@@ -148,6 +148,8 @@ def sample_exact(
     the selection against exact cumulative sums never rounds.  Subsets with
     zero minor stay in the enumeration but are never selected.
     """
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
     outcomes = []
     cums = []
     total = Rat(0)

@@ -22,13 +22,39 @@ def as_rational(value) -> Rational:
     return Rat(value)
 
 
+# str() of an int refuses more digits than sys.get_int_max_str_digits()
+# (4,300 by default, 640 at the least); ints up to this many bits (~600
+# digits) are always under it.
+_STR_BITS = 2000
+
+
+def _int_text(value: int) -> str:
+    """Decimal digits of an int of any size, split so that no str() call
+    exceeds the interpreter's int-to-string digit limit."""
+    if abs(value).bit_length() <= _STR_BITS:
+        return str(value)
+    if value < 0:
+        return "-" + _int_text(-value)
+    half = value.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(value, 10**half)
+    return _int_text(high) + _int_text(low).rjust(half, "0")
+
+
 def format_rational(value) -> str:
-    """Render as "p" or "p/q"; parses back bit-exactly via as_rational."""
-    return str(as_rational(value))
+    """Render as "p" or "p/q", at any size; parses back bit-exactly via
+    as_rational while each part is under the interpreter's int-string
+    digit limit."""
+    x = as_rational(value)
+    if x.denominator == 1:
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def format_decimal(value, digits: int) -> str:
-    """Decimal rendering with round-half-even at the given number of digits."""
+    """Decimal rendering with round-half-even at the given number of digits
+    (nonnegative; the cost grows with it, so callers bound it)."""
+    if digits < 0:
+        raise ValueError(f"decimal digits must be nonnegative, got {digits}")
     x = as_rational(value)
     num = int(x.numerator)
     den = int(x.denominator)
@@ -37,7 +63,7 @@ def format_decimal(value, digits: int) -> str:
     q, r = divmod(scaled, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
-    text = str(q).rjust(digits + 1, "0")
+    text = _int_text(q).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return sign + text[:-digits] + "." + text[-digits:]

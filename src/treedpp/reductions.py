@@ -1,14 +1,18 @@
 """Reduction pipelines: matchings to tree normalizers, interpolation, and the
 approximation-preserving routes from the mixed discriminant.
 
-Each pipeline is paired elsewhere (tests, verify) with an independent
-brute-force route; this module only builds instances, runs the steps, and
-reports what happened.
+Both gadget reductions query one closed-form oracle: the origin gadget's
+moment table F_{j,k} is built once from its PSD-pruned left-minor table,
+and every tree, forest or unconstrained normalizer of a reweighted copy is
+then one integer sum over F (gadget_z_exact).  Each pipeline is paired
+elsewhere (tests, verify) with an independent brute-force route; this
+module only builds instances, runs the steps, and reports what happened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import lcm
 from typing import Sequence
 
 from .dpp import _SplitMix64, z_forest
@@ -39,10 +43,10 @@ class GadgetInstance:
     block with no coupling; only _chain_gadget constructs it, for both
     reductions.  Reweighted copies accumulate left/right factors and
     remember the original instance.  _buckets caches, on the original only,
-    the table of left-minor sums by per-part left counts
-    (gadget_minor_table), from which the exact tree, forest and
-    unconstrained normalizers of every reweighted copy follow in closed
-    form.
+    the moment table F_{j,k} (gadget_moments), built once from the
+    left-minor table c_s (gadget_minor_table); the exact tree, forest and
+    unconstrained normalizers of every reweighted copy are each one integer
+    evaluation over it.
     """
 
     graph: Graph
@@ -299,35 +303,84 @@ def gadget_z_exact(instance: GadgetInstance, kind: str) -> Rational:
     contribute, in z = right_factor^2,
     forests: (1 + z)^(k_i - s_i) * (1 + s_i z), at most one closed path;
     trees: s_i z^(k_i - s_i + 1), exactly one closed path.
-    The identity right block splits off every minor, so the normalizer is
-    sum_s c_s * left_factor^(2|s|) * prod_i P_i(z; s_i) over the origin's
-    left-minor table (gadget_minor_table).  No tree or forest is
-    enumerated; tests check it against the generic normalizers.
+    The identity right block splits off every minor, and the product over
+    the blocks depends on s only through j = |s| and the elementary
+    symmetric values e_k(s), since sum_i (k_i - s_i) = m - j.  So, over the
+    origin's moments F_{j,k} (gadget_moments) and with lf2 = left_factor^2,
+    Z_F = sum_{j,k} F_{j,k} lf2^j (1 + z)^(m - j) z^k and
+    Z_T = sum_j F_{j,n} lf2^j z^(m + n - j).
+    With lf2 = a/b, z = p/q, L clearing F's denominators and J = max j,
+    both are one integer sum over the common denominator L b^J q^(m + n),
+    reduced once: a^j b^(J - j) p^k q^(n - k + j) (p + q)^(m - j) per
+    forest term and a^j b^(J - j) p^(m + n - j) q^j per tree term.  The sum
+    over j is a homogeneous Horner pass in u = a q and w = b (p + q) for
+    forests (w = b p for trees).  No tree or forest is enumerated; tests
+    check it against the generic normalizers.
     """
     if kind not in ("tree", "forest"):
         raise ValueError(f"unknown normalizer kind {kind!r}")
-    table = gadget_minor_table(instance)
+    moments = gadget_moments(instance)
     lf2 = instance.left_factor * instance.left_factor
     z = instance.right_factor * instance.right_factor
-    sizes = [len(part) for part in instance.parts]
+    a, b = lf2.numerator, lf2.denominator
+    p, q = z.numerator, z.denominator
+    m, n = instance.num_left, instance.num_parts
+    scale = lcm(*(f.denominator for f in moments.values()))
+    top = max(j for j, _ in moments)
 
-    def block(k, s):
-        if kind == "tree":
-            return s * z ** (k - s + 1)
-        return (1 + z) ** (k - s) * (1 + s * z)
+    def cleared(j, k):
+        f = moments.get((j, k))
+        return 0 if f is None else f.numerator * (scale // f.denominator)
 
-    polys = {(k, s): block(k, s) for k in set(sizes) for s in range(k + 1)}
-    total = Rat(0)
-    for counts, coeff in table.items():
-        term = coeff * lf2 ** sum(counts)
-        for k, s in zip(sizes, counts):
-            term *= polys[k, s]
-        total += term
-    return total
+    if kind == "tree":
+        coeffs = [cleared(j, n) for j in range(top + 1)]
+        w, tail = b * p, p ** (m + n - top)
+    else:
+        basis = [p**k * q ** (n - k) for k in range(n + 1)]
+        coeffs = [
+            sum(cleared(j, k) * basis[k] for k in range(n + 1))
+            for j in range(top + 1)
+        ]
+        w, tail = b * (p + q), (p + q) ** (m - top)
+    u = a * q
+    total = 0
+    power = 1  # u^j
+    for coeff in coeffs:  # sum_j coeff_j u^j w^(top - j)
+        total = total * w + coeff * power
+        power *= u
+    return Rat(total * tail, scale * b**top * q ** (m + n))
+
+
+def gadget_moments(instance: GadgetInstance) -> dict:
+    """Moment table of the gadget's origin, built once and cached there.
+
+    Maps (j, k) to F_{j,k} = sum over |s| = j of c_s * e_k(s), where c_s is
+    the origin's left-minor table (gadget_minor_table) and e_k the k-th
+    elementary symmetric polynomial of the per-part counts s; only nonzero
+    entries are stored, and (0, 0) is always 1.  j runs up to the left
+    block's rank, k up to n.  F is all gadget_z_exact reads, and
+    2^m * sum_j F_{j,0} is the unconstrained normalizer det(K + I) of the
+    unweighted gadget.
+    """
+    origin = instance.origin or instance
+    if not origin._buckets:
+        n = origin.num_parts
+        moments: dict = {}
+        for counts, coeff in gadget_minor_table(origin).items():
+            elem = [1] + [0] * n
+            for s in counts:
+                for k in range(n, 0, -1):
+                    elem[k] += s * elem[k - 1]
+            j = sum(counts)
+            for k, e in enumerate(elem):
+                if e:
+                    moments[j, k] = moments.get((j, k), 0) + coeff * e
+        origin._buckets.update(moments)
+    return origin._buckets
 
 
 def gadget_minor_table(instance: GadgetInstance) -> dict:
-    """Left-minor table of the gadget's origin, built once and cached there.
+    """Left-minor table of the gadget's origin, the source of its moments.
 
     Maps per-part left counts s = (s_1..s_n) to c_s, the sum over left
     subsets S with |S on part i| = s_i of det(base_S) * prod_{e in S} w_e;
@@ -336,12 +389,12 @@ def gadget_minor_table(instance: GadgetInstance) -> dict:
     edges in ascending label order and never extends a subset whose minor
     is 0: the base is PSD, so every superset's minor is 0 as well.  Raises
     CapExceeded before the search when _check_minor_cap refuses the gadget.
+    Not cached: gadget_moments reads it once per origin, and the minors
+    land in the base's determinant cache.
     """
     origin = instance.origin or instance
-    if not origin._buckets:
-        _check_minor_cap(origin)
-        origin._buckets.update(_left_minor_table(origin))
-    return origin._buckets
+    _check_minor_cap(origin)
+    return _left_minor_table(origin)
 
 
 def _check_minor_cap(instance: GadgetInstance) -> None:
@@ -426,6 +479,28 @@ def _sandwich_bounds(mode: str, epsilon, reference) -> tuple:
     return lower, upper
 
 
+def reduction_factors(inst: GadgetInstance, witness, eps, target: str) -> tuple:
+    """The reweighting factors (x, y) of a reduction on an origin gadget.
+
+    x multiplies the right edges and y, on the forest route, the left edges
+    (None on the tree route).  With ratio = det(K + I) / minor(witness),
+    which bounds the total minor mass against the witness's:
+    trees, x = 2 ratio / eps; forests, y = 4 ratio / eps and
+    x = 4 ratio y^(2m - 2n) / eps.  The off-target trees or forests then
+    add at most eps/2 of the target sum.
+    """
+    n, m = inst.num_parts, inst.num_left
+    # det(K + I) sums all principal minors; the identity right block lets
+    # each left subset pair with any of the 2^m right subsets.
+    moments = gadget_moments(inst)
+    normalizer = 2**m * sum(f for (_, k), f in moments.items() if k == 0)
+    ratio = normalizer / inst.kernel.minor(witness)
+    if target == "tree":
+        return ratio * 2 / eps, None
+    y = ratio * 4 / eps
+    return ratio * y ** (2 * m - 2 * n) * 4 / eps, y
+
+
 def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
     eps = as_rational(epsilon)
     if not 0 < eps < 1:
@@ -453,22 +528,13 @@ def _run_md_reduction(kernels, epsilon, oracle, target) -> ReductionReport:
         )
     n = inst.num_parts
     m = inst.num_left
-    # det(K + I) sums all principal minors; the identity right block lets
-    # each left subset pair with any of the 2^m right subsets.
-    normalizer = 2**m * sum(gadget_minor_table(inst).values())
-    ratio = normalizer / inst.kernel.minor(witness)
+    x, y = reduction_factors(inst, witness, eps, target)
     session = _OracleSession(spec)
     if target == "tree":
-        x = ratio * 2 / eps
-        y = None
-        queried = reweight_rank_one(inst, 1, x)
-        zhat = session.query(queried, "tree", eps / 2)
+        zhat = session.query(reweight_rank_one(inst, 1, x), "tree", eps / 2)
         estimate = zhat / x ** (2 * m)
     else:
-        y = ratio * 4 / eps
-        x = ratio * y ** (2 * m - 2 * n) * 4 / eps
-        queried = reweight_rank_one(inst, y, x)
-        zhat = session.query(queried, "forest", eps / 2)
+        zhat = session.query(reweight_rank_one(inst, y, x), "forest", eps / 2)
         estimate = zhat / (x ** (2 * m) * y ** (2 * n))
     lower, upper = _sandwich_bounds(spec.mode, eps, reference)
     return ReductionReport(

@@ -422,6 +422,23 @@ def check_exact_oracle_matches_generic(rng, size):
     assert gadget_z_exact(scaled, "forest") == z_forest(scaled.kernel, scaled.graph, max_edges=ne)
 
 
+def check_oracle_at_forest_route_factors(rng, size):
+    """The forest route reweights by its own (y, x), hundreds of bits at a
+    small epsilon; the gadget oracle must still equal the generic sums."""
+    inst = random_md_instance(rng, 2)
+    report = apreduce_md_to_zf(inst, Rat(1, 2**64))
+    if report.declared_zero:
+        return
+    gadget = build_md_gadget(build_partition_instance(inst))
+    scaled = reweight_rank_one(gadget, report.y, report.x)
+    g = scaled.graph
+    forest = z_forest(scaled.kernel, g, max_edges=g.num_edges)
+    assert gadget_z_exact(scaled, "forest") == forest, "forest oracle mismatch"
+    assert report.oracle_value == forest, "reported oracle value mismatch"
+    tree = z_tree(scaled.kernel, g, max_vertices=g.num_vertices)
+    assert gadget_z_exact(scaled, "tree") == tree, "tree oracle mismatch"
+
+
 def _sandwich_case(report, reference, epsilon):
     if report.declared_zero:
         assert reference == 0, "declared zero with a positive discriminant"
@@ -525,6 +542,7 @@ ALL_CHECKS = [
     ("interpolation-recovers-ztree", check_interpolation),
     ("reweight-matches-hadamard", check_reweight_matches_hadamard),
     ("exact-oracle-matches-generic", check_exact_oracle_matches_generic),
+    ("oracle-at-forest-route-factors", check_oracle_at_forest_route_factors),
     ("tree-sandwich", check_tree_sandwich),
     ("forest-sandwich", check_forest_sandwich),
     ("forest-exponent-cases", check_forest_exponent_cases),

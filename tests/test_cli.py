@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from treedpp import jsonio
-from treedpp.cli import _build_parser, main
+from treedpp.cli import MAX_DECIMAL_DIGITS, _build_parser, main
+from treedpp.verify import random_md_instance
 
 # Hypothesis caches source constants and unicode tables even without an
 # example database; keep them out of the working tree.
@@ -247,6 +249,50 @@ class TestExitCodes:
         jsonio.write_json(path, {"matrices": [eye] * 5})
         assert main(["apreduce-zf", str(path)]) == 3
         assert "gadget minor cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["znorm", "{matrix}", "--decimal", "-1"],
+        ["znorm", "{matrix}", "--decimal", str(MAX_DECIMAL_DIGITS + 1)],
+        ["apreduce-zt", "{md}", "--decimal", "-3"],
+        ["sample", "{bundle}", "--count", "-1"],
+    ], ids=["decimal-negative", "decimal-over-bound", "apreduce-decimal", "count-negative"])
+    def test_bad_count_refused_before_output(self, argv, tmp_path, md_identity_file,
+                                             triangle_bundle, capsys):
+        matrix = tmp_path / "m.json"
+        jsonio.write_json(matrix, {"labels": ["a"], "rows": [["1/3"]]})
+        paths = {"matrix": str(matrix), "md": md_identity_file, "bundle": triangle_bundle}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[-2] in captured.err
+
+    @pytest.mark.parametrize("digits", [0, 5000, MAX_DECIMAL_DIGITS])
+    def test_every_accepted_decimal_renders(self, digits, tmp_path, capsys):
+        # 5000 digits is past the interpreter's 4,300-digit int-to-str limit.
+        path = tmp_path / "m.json"
+        jsonio.write_json(path, {"labels": ["a"], "rows": [["1/3"]]})
+        assert main(["znorm", str(path), "--decimal", str(digits)]) == 0
+        exact, rendered = capsys.readouterr().out.splitlines()
+        assert exact == "4/3"
+        assert rendered == ("1." + "3" * digits if digits else "1")
+
+    def test_zero_count_draws_nothing(self, triangle_bundle, capsys):
+        assert main(["sample", triangle_bundle, "--count", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_report_past_the_digit_limit_is_written(self, tmp_path, capsys):
+        # The noisy forest-route report on this n = 3 instance holds an
+        # oracle value of more than 4,300 decimal digits.
+        md = tmp_path / "md3.json"
+        jsonio.write_json(md, jsonio.dump_md_instance(random_md_instance(random.Random(0), 3)))
+        out = tmp_path / "report.json"
+        assert main(["apreduce-zf", str(md), "--oracle", "noisy", "--seed", "5",
+                     "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["oracle_value"]) > 4300
+        assert capsys.readouterr().out.strip() == report["estimate"]
 
     def test_cap_exceeded(self, tmp_path, capsys):
         left = [f"u{i}" for i in range(11)]

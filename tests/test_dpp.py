@@ -198,6 +198,11 @@ class TestSampling:
         with pytest.raises(ValueError, match="empty support"):
             sample_exact(dpp, seed=0, count=1)
 
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_exact(self.triangle_dpp(), seed=0, count=-1)
+        assert sample_exact(self.triangle_dpp(), seed=0, count=0) == []
+
     def test_zero_mass_outcomes_never_sampled(self):
         g = Graph(("1", "2", "3"), (("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")))
         base = SymMatrix(("a", "b", "c"), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])

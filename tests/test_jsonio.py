@@ -43,6 +43,32 @@ class TestRationalFormat:
         assert format_rational(Rat(2, 4)) == "1/2"
         assert jsonio.parse_rational(format_rational(Rat(-9, 3))) == -3
 
+    def test_decimal_refuses_negative_digits(self):
+        from treedpp.rational import format_decimal
+
+        assert format_decimal(Rat(-2, 3), 0) == "-1"
+        with pytest.raises(ValueError, match="nonnegative"):
+            format_decimal(Rat(2, 3), -1)
+
+    def test_renders_past_the_int_digit_limit(self):
+        from treedpp.rational import format_rational
+
+        rng = random.Random(2)
+        for bits in (1999, 2000, 2001, 14_500, 60_000):
+            num = -rng.getrandbits(bits) | 1
+            den = rng.getrandbits(bits // 2) * 2 + 1
+            text = format_rational(Rat(num, den))
+            head, _, tail = text.partition("/")
+            assert head[0] == "-" and head[1] != "0"
+            # Read back 1,000 digits at a time, under the limit.
+            for digits, value in ((head[1:], -Rat(num, den).numerator),
+                                  (tail, Rat(num, den).denominator)):
+                back = 0
+                for i in range(0, len(digits), 1000):
+                    chunk = digits[i:i + 1000]
+                    back = back * 10 ** len(chunk) + int(chunk)
+                assert back == value
+
 
 class TestMatrixRoundtrip:
     def test_weighted_psd(self):

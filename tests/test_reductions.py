@@ -15,6 +15,7 @@ from treedpp.linalg import (
     WeightedPSD,
     det_bareiss,
     is_psd,
+    ldlt,
     unconstrained_normalizer,
 )
 from treedpp.mixed_disc import (
@@ -23,7 +24,8 @@ from treedpp.mixed_disc import (
     build_partition_instance,
     mixed_discriminant,
 )
-from treedpp.rational import ONE, Rat, exp_enclosure
+from treedpp.matroid import find_witness
+from treedpp.rational import ONE, Rat, bit_length, exp_enclosure
 from treedpp.reductions import (
     OracleSpec,
     apreduce_md_to_zf,
@@ -32,15 +34,18 @@ from treedpp.reductions import (
     build_pm_gadget,
     count_pm_via_zt,
     gadget_minor_table,
+    gadget_moments,
     gadget_z_exact,
     lagrange_leading_coeff,
     median_estimate,
+    reduction_factors,
     reweight_rank_one,
     zt_via_zf,
 )
 from treedpp.verify import (
     random_bipartite,
     random_connected_graph,
+    random_gram,
     random_md_instance,
     random_weighted_psd,
     triangle_graph,
@@ -132,12 +137,24 @@ class TestPmGadget:
 
     def test_oracle_matches_generic_normalizers(self):
         k33 = build_pm_gadget(complete_bipartite(3))
-        empty_part = BipartiteGraph(("u1", "u2"), ("w1", "w2"),
-                                    [("u1", "w1"), ("u1", "w2")])
+        empty_part = build_pm_gadget(BipartiteGraph(
+            ("u1", "u2"), ("w1", "w2"), [("u1", "w1"), ("u1", "w2")]))
+        # The middle part is empty, so its spine gap has no path.
+        empty_middle = build_pm_gadget(BipartiteGraph(
+            ("u1", "u2", "u3"), ("w1", "w2", "w3"),
+            [("u1", "w1"), ("u1", "w3"), ("u3", "w1"), ("u3", "w2")]))
+        assert () in empty_part.parts and () in empty_middle.parts
+        # Factors of forest-route size: hundreds of bits each.
+        big_left, big_right = Rat(3**200, 2**150 + 1), Rat(5**300, 7**100)
         for inst in (
             k33,
             reweight_rank_one(k33, 2, Rat(1, 3)),
-            build_pm_gadget(empty_part),
+            empty_part,
+            reweight_rank_one(empty_part, Rat(2, 5), 3),
+            reweight_rank_one(empty_part, big_left, big_right),
+            empty_middle,
+            reweight_rank_one(empty_middle, Rat(7, 3), Rat(1, 2)),
+            reweight_rank_one(empty_middle, big_left, big_right),
             reweight_rank_one(build_pm_gadget(complete_bipartite(2)), Rat(3, 2), 2),
         ):
             g = inst.graph
@@ -324,6 +341,45 @@ class TestExactOracle:
             total = 2**inst.num_left * sum(table.values())
             assert total == unconstrained_normalizer(inst.kernel), name
 
+    def test_moments_are_elementary_sums_of_the_table(self):
+        from itertools import combinations
+        from math import prod
+
+        for name, inst in oracle_gadgets().items():
+            n = inst.num_parts
+            expect = {}
+            for counts, c in gadget_minor_table(inst).items():
+                for k in range(n + 1):
+                    e = sum(prod(sub) for sub in combinations(counts, k))
+                    if e:
+                        key = (sum(counts), k)
+                        expect[key] = expect.get(key, 0) + c * e
+            assert gadget_moments(inst) == expect, name
+            # Cached on the origin: a reweighted copy reads the same table.
+            assert gadget_moments(reweight_rank_one(inst, 2, 3)) is gadget_moments(inst)
+
+    @pytest.mark.parametrize("eps", [Rat(1, 2), Rat(1, 2**200)], ids=["half", "tiny"])
+    def test_matches_generic_at_forest_route_factors(self, eps):
+        # The forest route's own (y, x): at eps = 2^-200 x runs past 1,000
+        # bits and the normalizer past 8,000.  The full-rank gadget (r = 4 >
+        # n = 2) is the one whose tree moments reach below j = J.
+        gadgets = [
+            build_md_gadget(build_partition_instance(random_md_instance(random.Random(seed), 2)))
+            for seed in (0, 3, 5)
+        ] + [full_rank_gadget()]
+        for gadget in gadgets:
+            x, y = reduction_factors(gadget, find_witness(gadget), eps, "forest")
+            if eps < Rat(1, 4):
+                assert bit_length(x) > 1000
+            scaled = reweight_rank_one(gadget, y, x)
+            g = scaled.graph
+            assert gadget_z_exact(scaled, "forest") == z_forest(
+                scaled.kernel, g, max_edges=g.num_edges
+            )
+            assert gadget_z_exact(scaled, "tree") == z_tree(
+                scaled.kernel, g, max_vertices=g.num_vertices
+            )
+
     def test_full_rank_table_prunes_nothing(self):
         table = gadget_minor_table(full_rank_gadget())
         assert sorted(table) == [(s1, s2) for s1 in range(3) for s2 in range(3)]
@@ -356,6 +412,43 @@ class TestExactOracle:
         assert gadget_z_exact(scaled, "tree") == z_tree(
             scaled.kernel, scaled.graph, max_vertices=scaled.graph.num_vertices
         )
+
+
+def high_rank_instance(rng, n):
+    """Generic PartitionInstance: a full-rank weighted Gram on n^2 labels in
+    n equal parts, so its gadget's left block has rank r = n^2 > n."""
+    labels = [f"{i}.{k}" for i in range(n) for k in range(n)]
+    while True:
+        matrix = random_weighted_psd(rng, n * n, labels=labels)
+        if det_bareiss(matrix.base) != 0:
+            return PartitionInstance(
+                matrix=matrix, parts=[labels[i * n:(i + 1) * n] for i in range(n)]
+            )
+
+
+class TestTreeRouteFactor:
+    """On a rank <= n encoding Z_T(x) = x^(2m) D for every x, so only a
+    high-rank instance, where off-target trees carry mass, can see a wrong
+    tree-route factor.  The window is the exact oracle's [D, (1 + eps/2) D]
+    around the transversal sum, which shares no code with the gadget."""
+
+    @pytest.mark.parametrize("n,count", [(2, 8), (3, 3)])
+    def test_only_the_reduction_factor_fits_the_window(self, n, count):
+        eps = Rat(1, 2)
+        rng = random.Random(107 + n)
+        for _ in range(count):
+            p = high_rank_instance(rng, n)
+            gadget = build_md_gadget(p)
+            d = partition_constrained_sum(p.matrix, p.parts)
+            x, y = reduction_factors(gadget, find_witness(gadget), eps, "tree")
+            assert y is None
+
+            def estimate(factor):
+                zt = gadget_z_exact(reweight_rank_one(gadget, 1, factor), "tree")
+                return zt / factor ** (2 * gadget.num_left)
+
+            assert d <= estimate(x) <= (ONE + eps / 2) * d
+            assert estimate(ONE) > (ONE + eps / 2) * d
 
 
 class TestApReduceTree:
@@ -595,31 +688,73 @@ class TestMedian:
         assert exp_enclosure(-eps)[1] * d <= mid <= exp_enclosure(eps)[0] * d
 
 
+def low_rank_md():
+    """n = 3 kernels of ranks 1, 2 and 2 with D > 0."""
+    rng = random.Random(3)
+    return MDInstance(tuple(random_gram(rng, 3, rank=r) for r in (1, 2, 2)))
+
+
 class TestGoldenReports:
     """Reports pinned bit for bit: SHA-256 of the sorted-key JSON report on
-    random_md_instance(Random(seed), 3), per route and oracle."""
+    random_md_instance(Random(seed), 3) and on low_rank_md(), per route and
+    oracle."""
 
     DIGESTS = {
         (0, "zt", "exact"): "15706c4bd430a1fc97248d972b07e71582829e4714d1fbfca66b37c97d1f39a7",
         (0, "zt", "up"): "aa37e35f3fac8fa32af2d2384fbed0b26033fc27b8742ddf60440173cb495c3b",
+        (0, "zt", "down"): "b6862bfa48128f9c98fe5fabbcde1d1909f84bf452b70039c86d87cb7397a402",
+        (0, "zt", "noisy"): "216cd418323abd1f7da8c7a8020699ccdfafcecc38f1e7c2d3f98c9b4dc3ac4a",
         (0, "zf", "exact"): "570227477421b3d9e3ed4bcdb501d57f1545effa0cc8e422d9c43637bf214d55",
         (0, "zf", "up"): "97e703278dc5f0207dd1ac99d183c6270368d6133d62f48b08c0a516838d68d8",
+        (0, "zf", "down"): "fc36666b697f95278ea796736d471589e39f90ecced854ac15b7f2e46e3df3e9",
+        (0, "zf", "noisy"): "d702a67a4d785003e989b7cf5e83072b9bf132be2e809c9bd981b097e93591a4",
         (1, "zt", "exact"): "5c95e2bfff8b3c6f1ee2fad6289eb729e5824902dfca0dd56944d227eb051bd5",
         (1, "zt", "up"): "f5aace7c35ba944cf08d59102b64582cc3da406ef923b434d743e444219c8fe4",
+        (1, "zt", "down"): "da7951d3935fda688c3f2c3df0330e4f69f5af4c2f42e876b57b5f9bced093b8",
+        (1, "zt", "noisy"): "cfa9edb2dc0401901debda3fb4b17537fe69013e11defc28d1c33fe67b9c97b6",
         (1, "zf", "exact"): "bf61e056ec99e4a3603d413d70cc8b3238210c4c5720369d87797228536790e0",
         (1, "zf", "up"): "7e55c1b8611d223455f2073cf2dbf8b52e412346ba9783d15ffdc7e449d333e6",
+        (1, "zf", "down"): "cc1a8aa4d59d70ad19223317b0a2042c53ed393d008bb091c6a6cd43d8669f36",
+        (1, "zf", "noisy"): "7018556958109991a5d3592db2470597bc7080aba9a2aa1790639a4d1b66d10f",
         (2, "zt", "exact"): "0c72f030584d53e3d54359142bb103a373281d8c98b06c903731ad6e9dfb8410",
         (2, "zt", "up"): "711483cd5868b93b75c4defeb560cb9001d39b0effc737a2fbcc0ef7665fefe1",
+        (2, "zt", "down"): "e03b61e2677724ecfdf1f307d4f1b8531bc5f135db7c5b65c9e9e1d9a382c8ee",
+        (2, "zt", "noisy"): "93929a71596d8f5205d0acf134db721885a2d94e9f23d656c68318006aa32715",
         (2, "zf", "exact"): "682a55d271f5c449d109b87e104499906c9be093ab7580c2d77b996ef72a3bdd",
         (2, "zf", "up"): "f785b5616abfe0fcb4a32f8dbabd5bd23598ffceac6410104d166dd1ca1624c5",
+        (2, "zf", "down"): "fb51f35b59d2e7fe85a2f4f26eeb16a557569c5378c88198b26be61f6a85652b",
+        (2, "zf", "noisy"): "ee3c581ec29a2ea9660d6afeef2c946e496be85df1e0d71199b90e728c2a15cc",
+        ("low-rank", "zt", "exact"): "55929c4eff6ccfd1b27fcfea0ca87934289705b6c08775e9e08ed709be25fe6d",
+        ("low-rank", "zt", "up"): "87c666c869a1df3b5c706b7a8554cacd96a8c393e532eb4d7d88cac4105528ed",
+        ("low-rank", "zt", "down"): "0f7707c80bef3d21ca21954b1e32186464ddc958086db80bb9885a24552ee341",
+        ("low-rank", "zt", "noisy"): "7f5076cf90c3286c4d29d271eebc7d6effdc1cbabee8deb9b358d8257c8d7312",
+        ("low-rank", "zf", "exact"): "59d2c461a1b2da6d6bc9a53face43780e0126e8caa5459cfa7192217a33a36ac",
+        ("low-rank", "zf", "up"): "9061bf56738276093d2951da5d8e5a81a95e55a8db0c59471287df335c3be7e1",
+        ("low-rank", "zf", "down"): "5acbb79c4e57fd2339b76652a688f260ac132eefd436c0902066dc88a964eb4c",
+        ("low-rank", "zf", "noisy"): "a284f96e4f298354a96a35c6ad0a125e1bd908074f0c506838d743c93f0e0388",
     }
     ROUTES = {"zt": apreduce_md_to_zt, "zf": apreduce_md_to_zf}
-    ORACLES = {"exact": OracleSpec(), "up": OracleSpec(mode="adversarial", direction=1)}
+    ORACLES = {
+        "exact": OracleSpec(),
+        "up": OracleSpec(mode="adversarial", direction=1),
+        "down": OracleSpec(mode="adversarial", direction=-1),
+        "noisy": OracleSpec(mode="noisy", seed=5),
+    }
 
-    @pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: "-".join(map(str, k)))
+    @pytest.mark.parametrize("key", sorted(DIGESTS, key=str),
+                             ids=lambda k: "-".join(map(str, k)))
     def test_report_digest(self, key):
         seed, route, oracle = key
-        inst = random_md_instance(random.Random(seed), 3)
+        if seed == "low-rank":
+            inst = low_rank_md()
+        else:
+            inst = random_md_instance(random.Random(seed), 3)
         report = self.ROUTES[route](inst, "1/2", oracle=self.ORACLES[oracle])
         text = json.dumps(report_to_obj(report), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[key]
+
+    def test_low_rank_instance_has_positive_discriminant(self):
+        kernels = low_rank_md()
+        ranks = [sum(1 for d in ldlt(k)[1] if d != 0) for k in kernels.matrices]
+        assert ranks == [1, 2, 2]
+        assert mixed_discriminant(kernels) > 0
