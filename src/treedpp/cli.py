@@ -130,7 +130,7 @@ def _apreduce(args):
 
 
 def _verify(args):
-    results = run_verification(seed=args.seed, size=args.size)
+    results = run_verification(seed=args.seed)
     failed = 0
     for name, ok, detail in results:
         if ok:
@@ -173,8 +173,6 @@ _OPTIONS = {
     "--noise": dict(metavar="P/Q", help="override the simulated oracle tolerance"),
     "--direction": dict(default="up", choices=("up", "down"),
                         help="adversarial bias direction"),
-    "--n": dict(dest="size", type=int, default=3,
-                help="instance size knob for the heavier checks"),
 }
 _APREDUCE_OPTIONS = ("--epsilon", "--oracle", "--noise", "--seed", "--direction")
 _APREDUCE_HELP = (
@@ -211,7 +209,7 @@ COMMANDS = {
                     _apreduce),
     "apreduce-zf": (_APREDUCE_HELP.format("zf"), "instance", _APREDUCE_OPTIONS,
                     _apreduce),
-    "verify": ("run the seeded property suite", None, ("--seed", "--n"), _verify),
+    "verify": ("run the seeded property suite", None, ("--seed",), _verify),
 }
 
 

@@ -14,23 +14,35 @@ from .dpp import ConstrainedDPP
 from .graphs import BipartiteGraph, Graph
 from .linalg import SymMatrix, WeightedPSD
 from .mixed_disc import MDInstance
-from .rational import as_rational, bit_length, format_rational
+from .rational import Rat, _text_int, as_rational, bit_length, format_rational
+
+
+# Forest-route reports at n = 4, epsilon = 1/2 carry ~20,000 digits per part;
+# reading 100,000 takes tens of milliseconds.
+MAX_LITERAL_DIGITS = 100_000
 
 
 def parse_rational(value):
-    """An integer, or a string of the form "p" or "p/q"; decimals, exponents,
-    underscores and spaces are refused before any conversion."""
+    """An integer, or a string of the form "p" or "p/q" with at most
+    MAX_LITERAL_DIGITS digits per part; decimals, exponents, underscores,
+    spaces and longer parts are refused before any conversion."""
     if isinstance(value, bool):
         raise ValueError("expected a rational as 'p/q' string or integer")
     if isinstance(value, int):
         return as_rational(value)
     if isinstance(value, str):
-        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+        match = re.fullmatch(r"(-?)([0-9]+)(?:/([0-9]+))?", value)
+        if not match:
             raise ValueError(f"bad rational literal {value!r}")
-        try:
-            return as_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {value!r}") from exc
+        sign, num, den = match.groups(default="1")
+        if max(len(num), len(den)) > MAX_LITERAL_DIGITS:
+            raise ValueError(
+                f"bad rational literal: a part has over {MAX_LITERAL_DIGITS} digits"
+            )
+        num, den = _text_int(num), _text_int(den)
+        if den == 0:
+            raise ValueError(f"bad rational literal {value!r}: zero denominator")
+        return Rat(-num if sign else num, den)
     raise ValueError(f"expected a rational as 'p/q' string or integer, got {value!r}")
 
 

@@ -164,13 +164,6 @@ class WeightedPSD:
             value *= self.weights[a]
         return value
 
-    def scaled(self, factors: Mapping) -> "WeightedPSD":
-        """New instance sharing the base, with weights multiplied per label."""
-        new = dict(self.weights)
-        for a, f in factors.items():
-            new[a] = new[a] * as_rational(f)
-        return WeightedPSD(self.base, new)
-
     def scaled_all(self, factor) -> "WeightedPSD":
         f = as_rational(factor)
         return WeightedPSD(self.base, {a: w * f for a, w in self.weights.items()})

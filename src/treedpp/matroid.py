@@ -134,8 +134,9 @@ def find_witness(instance: "GadgetInstance") -> tuple | None:
     Contracting the right edges (the kernel is block diagonal with an
     identity on them) reduces the search to a common independent transversal
     of the left-edge linear matroid and the one-per-part partition matroid.
-    Independence is a positive minor of the gadget kernel itself, whose
-    determinant cache gadget_minor_table then reuses.
+    Independence is a positive minor of the gadget kernel itself (on an
+    origin gadget, the kernel it was built with: no copy, no PSD test),
+    whose determinant cache the moment search (gadget_moments) then reuses.
     Returns the full edge set, sorted, or None.
     """
     kernel = instance.kernel

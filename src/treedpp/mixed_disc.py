@@ -56,8 +56,7 @@ class PartitionInstance:
     def __post_init__(self):
         parts = tuple(tuple(p) for p in self.parts)
         object.__setattr__(self, "parts", parts)
-        sizes = {len(p) for p in parts}
-        if len(sizes) != 1:
+        if len({len(p) for p in parts}) > 1:
             raise ValueError("parts must have equal sizes")
         flat = [a for p in parts for a in p]
         if len(flat) != len(set(flat)) or set(flat) != set(self.matrix.labels):

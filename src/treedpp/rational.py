@@ -22,10 +22,11 @@ def as_rational(value) -> Rational:
     return Rat(value)
 
 
-# str() of an int refuses more digits than sys.get_int_max_str_digits()
-# (4,300 by default, 640 at the least); ints up to this many bits (~600
-# digits) are always under it.
+# str() of an int, and int() of a str, refuse more digits than
+# sys.get_int_max_str_digits() (4,300 by default, 640 at the least); ints up
+# to this many bits or digits are always under it.
 _STR_BITS = 2000
+_STR_DIGITS = 600
 
 
 def _int_text(value: int) -> str:
@@ -40,10 +41,18 @@ def _int_text(value: int) -> str:
     return _int_text(high) + _int_text(low).rjust(half, "0")
 
 
+def _text_int(digits: str) -> int:
+    """The int of a decimal digit string of any length, split as _int_text
+    splits so that no int() call exceeds the interpreter's digit limit."""
+    if len(digits) <= _STR_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _text_int(digits[:-half]) * 10**half + _text_int(digits[-half:])
+
+
 def format_rational(value) -> str:
-    """Render as "p" or "p/q", at any size; parses back bit-exactly via
-    as_rational while each part is under the interpreter's int-string
-    digit limit."""
+    """Render as "p" or "p/q", at any size; jsonio.parse_rational reads it
+    back bit-exactly while each part has at most MAX_LITERAL_DIGITS digits."""
     x = as_rational(value)
     if x.denominator == 1:
         return _int_text(x.numerator)

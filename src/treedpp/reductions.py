@@ -1,17 +1,18 @@
 """Reduction pipelines: matchings to tree normalizers, interpolation, and the
 approximation-preserving routes from the mixed discriminant.
 
-Both gadget reductions query one closed-form oracle: the origin gadget's
-moment table F_{j,k} is built once from its PSD-pruned left-minor table,
-and every tree, forest or unconstrained normalizer of a reweighted copy is
-then one integer sum over F (gadget_z_exact).  Each pipeline is paired
-elsewhere (tests, verify) with an independent brute-force route; this
-module only builds instances, runs the steps, and reports what happened.
+Both gadget reductions query one closed-form oracle: a reweighted gadget
+is its origin plus two factors, the origin's moment table F_{j,k} is built
+once from its PSD-pruned left minors, and every normalizer of a copy is one
+integer sum over F (gadget_z_exact).  The gadget graph and reweighted
+kernels are built only when tests or verify, which pair each pipeline with
+an independent brute-force route, ask for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -32,33 +33,30 @@ from .rational import ONE, Rat, Rational, as_rational, exp_enclosure
 DEFAULT_GADGET_MINOR_CAP = 2**16
 
 
+def _path_labels(i: int, k: int) -> tuple:
+    """Left edge, middle vertex and right edge of path k in part i (1-based)."""
+    tag = f"{i:02d}.{k:02d}"
+    return f"l{tag}", f"w{tag}", f"r{tag}"
+
+
 @dataclass(frozen=True, eq=False)
 class GadgetInstance:
-    """A chain gadget graph with its block kernel and bookkeeping.
+    """A chain gadget: its origin's block kernel, its parts and two factors.
 
-    The graph is a spine of n+1 vertices; consecutive spine vertices are
-    joined by parallel two-edge paths, one per ground element, giving a left
-    edge and a right edge each.  The kernel base carries the source matrix
-    on the left block, keyed by left_source, and an identity on the right
-    block with no coupling; only _chain_gadget constructs it, for both
-    reductions.  Reweighted copies accumulate left/right factors and
-    remember the original instance.  _buckets caches, on the original only,
-    the moment table F_{j,k} (gadget_moments), built once from the
-    left-minor table c_s (gadget_minor_table); the exact tree, forest and
-    unconstrained normalizers of every reweighted copy are each one integer
-    evaluation over it.
+    origin_kernel, labelled by the left edges part by part and then the
+    parallel right edges, carries the source matrix on the left block,
+    keyed by left_source, and an identity on the right block.  Only
+    _chain_gadget builds an origin.  A reweighted copy shares the origin's
+    fields and moments and carries the accumulated factors; graph and
+    kernel, which only tests and verify read, are built on first access.
     """
 
-    graph: Graph
-    kernel: WeightedPSD
-    left_edges: tuple
-    right_edges: tuple
+    origin_kernel: WeightedPSD
     parts: tuple
     left_source: dict
     left_factor: Rational = ONE
     right_factor: Rational = ONE
     origin: "GadgetInstance | None" = None
-    _buckets: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_parts(self) -> int:
@@ -66,40 +64,66 @@ class GadgetInstance:
 
     @property
     def num_left(self) -> int:
-        return len(self.left_edges)
+        return len(self.left_source)
+
+    @property
+    def left_edges(self) -> tuple:
+        return self.origin_kernel.labels[: self.num_left]
+
+    @property
+    def right_edges(self) -> tuple:
+        return self.origin_kernel.labels[self.num_left :]
+
+    @cached_property
+    def graph(self) -> Graph:
+        """A spine v_1..v_(n+1); part i joins v_i and v_(i+1) by one two-edge
+        path (l{i}.{k}, r{i}.{k}) through w{i}.{k} per left edge."""
+        spine = [f"v{i:02d}" for i in range(1, self.num_parts + 2)]
+        vertices = list(spine)
+        edges = []
+        for i, part in enumerate(self.parts, start=1):
+            for k in range(1, len(part) + 1):
+                lid, mid, rid = _path_labels(i, k)
+                vertices.append(mid)
+                edges += [(lid, spine[i - 1], mid), (rid, mid, spine[i])]
+        return Graph(vertices, edges)
+
+    @cached_property
+    def kernel(self) -> WeightedPSD:
+        """The weighted kernel: the origin's, with left weights times
+        left_factor^2 and right weights times right_factor^2."""
+        if self.left_factor == self.right_factor == 1:
+            return self.origin_kernel
+        lf2, rf2 = self.left_factor**2, self.right_factor**2
+        return WeightedPSD(self.origin_kernel.base, {
+            a: w * (lf2 if a in self.left_source else rf2)
+            for a, w in self.origin_kernel.weights.items()})
+
+    @cached_property
+    def moments(self) -> dict:
+        """The origin's moment table (gadget_moments), built on first access
+        and shared by every reweighted copy."""
+        return gadget_moments(self) if self.origin is None else self.origin.moments
 
 
 def _chain_gadget(blocks, entry, weights) -> GadgetInstance:
     """The chain gadget over blocks, one ordered list of left-source keys per
-    part.
-
-    Part i joins spine vertices v_i and v_(i+1) by one two-edge path
-    (l{i}.{k}, r{i}.{k}) through w{i}.{k} per key; the kernel's left block
-    is entry(key_a, key_b), its right block the identity.  weights maps
-    each key to its left weight, or is None for unit weights.
+    part: path _path_labels(i, k) per key, left block entry(key_a, key_b),
+    identity right block.  weights maps each key to its left weight, or is
+    None for unit weights.
     """
-    n = len(blocks)
-    spine = [f"v{i:02d}" for i in range(1, n + 2)]
-    vertices = list(spine)
-    left_ids = []
-    right_ids = []
-    edges = []
     left_source = {}
+    right_ids = []
     groups = []
     for i, keys in enumerate(blocks, start=1):
         group = []
         for k, key in enumerate(keys, start=1):
-            mid = f"w{i:02d}.{k:02d}"
-            vertices.append(mid)
-            lid, rid = f"l{i:02d}.{k:02d}", f"r{i:02d}.{k:02d}"
-            edges.append((lid, spine[i - 1], mid))
-            edges.append((rid, mid, spine[i]))
-            left_ids.append(lid)
-            right_ids.append(rid)
+            lid, _, rid = _path_labels(i, k)
             left_source[lid] = key
+            right_ids.append(rid)
             group.append(lid)
         groups.append(tuple(group))
-    labels = left_ids + right_ids
+    labels = list(left_source) + right_ids
 
     def cell(a, b):
         if a in left_source and b in left_source:
@@ -107,20 +131,10 @@ def _chain_gadget(blocks, entry, weights) -> GadgetInstance:
         return 1 if a == b else 0
 
     base = SymMatrix(labels, [[cell(a, b) for b in labels] for a in labels])
-    if weights is None:
-        kernel = WeightedPSD(base)
-    else:
-        wmap = {lid: weights[left_source[lid]] for lid in left_ids}
-        wmap.update({rid: ONE for rid in right_ids})
-        kernel = WeightedPSD(base, wmap)
-    return GadgetInstance(
-        graph=Graph(vertices, edges),
-        kernel=kernel,
-        left_edges=tuple(left_ids),
-        right_edges=tuple(right_ids),
-        parts=tuple(groups),
-        left_source=left_source,
-    )
+    wmap = dict.fromkeys(labels, ONE)
+    if weights is not None:
+        wmap.update((lid, weights[key]) for lid, key in left_source.items())
+    return GadgetInstance(WeightedPSD(base, wmap), tuple(groups), left_source)
 
 
 def build_pm_gadget(bipartite: BipartiteGraph) -> GadgetInstance:
@@ -156,26 +170,21 @@ def build_md_gadget(instance: PartitionInstance) -> GadgetInstance:
 def reweight_rank_one(
     instance: GadgetInstance, left_factor, right_factor
 ) -> GadgetInstance:
-    """Multiply left weights by left_factor^2 and right weights by right_factor^2.
-
-    This realizes the Hadamard product of the kernel with the rank-one
-    matrix built from (left_factor on left edges, right_factor on right
-    edges): every minor gains left_factor^(2|S on left|) *
-    right_factor^(2|S on right|).
+    """The gadget reweighted by the Hadamard product of its kernel with the
+    rank-one matrix built from (left_factor on left edges, right_factor on
+    right edges): every minor gains left_factor^(2|S on left|) *
+    right_factor^(2|S on right|).  The copy only multiplies the factors:
+    it copies no kernel and runs no PSD test.
     """
     lf = as_rational(left_factor)
     rf = as_rational(right_factor)
     if lf <= 0 or rf <= 0:
         raise ValueError("reweighting factors must be positive")
-    factors = {e: lf * lf for e in instance.left_edges}
-    factors.update({e: rf * rf for e in instance.right_edges})
     return replace(
         instance,
-        kernel=instance.kernel.scaled(factors),
         left_factor=instance.left_factor * lf,
         right_factor=instance.right_factor * rf,
         origin=instance.origin or instance,
-        _buckets={},
     )
 
 
@@ -319,7 +328,7 @@ def gadget_z_exact(instance: GadgetInstance, kind: str) -> Rational:
     """
     if kind not in ("tree", "forest"):
         raise ValueError(f"unknown normalizer kind {kind!r}")
-    moments = gadget_moments(instance)
+    moments = instance.moments
     lf2 = instance.left_factor * instance.left_factor
     z = instance.right_factor * instance.right_factor
     a, b = lf2.numerator, lf2.denominator
@@ -352,75 +361,31 @@ def gadget_z_exact(instance: GadgetInstance, kind: str) -> Rational:
 
 
 def gadget_moments(instance: GadgetInstance) -> dict:
-    """Moment table of the gadget's origin, built once and cached there.
+    """Moment table of the gadget's origin, in one pass over its left minors.
 
-    Maps (j, k) to F_{j,k} = sum over |s| = j of c_s * e_k(s), where c_s is
-    the origin's left-minor table (gadget_minor_table) and e_k the k-th
-    elementary symmetric polynomial of the per-part counts s; only nonzero
-    entries are stored, and (0, 0) is always 1.  j runs up to the left
+    Maps (j, k) to F_{j,k} = sum over |s| = j of c_s * e_k(s), where e_k is
+    the k-th elementary symmetric polynomial of the per-part left counts
+    s = (s_1..s_n) and c_s the sum, over left subsets S with
+    |S on part i| = s_i, of det(base_S) * prod_{e in S} w_e.  Only nonzero
+    entries are stored, and (0, 0) is always 1; j runs up to the left
     block's rank, k up to n.  F is all gadget_z_exact reads, and
     2^m * sum_j F_{j,0} is the unconstrained normalizer det(K + I) of the
-    unweighted gadget.
+    unweighted gadget.  GadgetInstance.moments caches it on the origin.
+
+    A depth-first search adds left edges in ascending label order and never
+    extends a subset whose minor is 0: the base is PSD, so every superset's
+    minor is 0 as well.  Raises CapExceeded before the search when
+    _check_minor_cap refuses the gadget.
     """
-    origin = instance.origin or instance
-    if not origin._buckets:
-        n = origin.num_parts
-        moments: dict = {}
-        for counts, coeff in gadget_minor_table(origin).items():
-            elem = [1] + [0] * n
-            for s in counts:
-                for k in range(n, 0, -1):
-                    elem[k] += s * elem[k - 1]
-            j = sum(counts)
-            for k, e in enumerate(elem):
-                if e:
-                    moments[j, k] = moments.get((j, k), 0) + coeff * e
-        origin._buckets.update(moments)
-    return origin._buckets
-
-
-def gadget_minor_table(instance: GadgetInstance) -> dict:
-    """Left-minor table of the gadget's origin, the source of its moments.
-
-    Maps per-part left counts s = (s_1..s_n) to c_s, the sum over left
-    subsets S with |S on part i| = s_i of det(base_S) * prod_{e in S} w_e;
-    only positive c_s are stored.  2^m * sum_s c_s is the unconstrained
-    normalizer of the unweighted gadget.  A depth-first search adds left
-    edges in ascending label order and never extends a subset whose minor
-    is 0: the base is PSD, so every superset's minor is 0 as well.  Raises
-    CapExceeded before the search when _check_minor_cap refuses the gadget.
-    Not cached: gadget_moments reads it once per origin, and the minors
-    land in the base's determinant cache.
-    """
-    origin = instance.origin or instance
-    _check_minor_cap(origin)
-    return _left_minor_table(origin)
-
-
-def _check_minor_cap(instance: GadgetInstance) -> None:
-    """Refuse a gadget whose 2^m - 1 nonempty left subsets, the most minors
-    the table search can evaluate, exceed DEFAULT_GADGET_MINOR_CAP.  This
-    admits every n <= 4 mixed-discriminant gadget and no larger one, and
-    every matching gadget of at most 16 bipartite edges."""
-    m = instance.num_left
-    if 2**m - 1 > DEFAULT_GADGET_MINOR_CAP:
-        raise CapExceeded(
-            f"gadget minor cap: 2^{m} - 1 left minors exceed "
-            f"{DEFAULT_GADGET_MINOR_CAP}"
-        )
-
-
-def _left_minor_table(origin: GadgetInstance) -> dict:
-    for rid in origin.right_edges:
-        if origin.kernel.weights[rid] != 1:
-            raise AssertionError("origin gadget must have unit right weights")
-    base = origin.kernel.base
-    weights = origin.kernel.weights
-    part_of = {e: i for i, part in enumerate(origin.parts) for e in part}
-    left = sorted(origin.left_edges)
+    _check_minor_cap(instance)
+    base = instance.origin_kernel.base
+    weights = instance.origin_kernel.weights
+    n = instance.num_parts
+    part_of = {e: i for i, part in enumerate(instance.parts) for e in part}
+    left = sorted(instance.left_edges)
     pos = [base.positions((e,))[0] for e in left]
-    table: dict = {}
-    counts = [0] * len(origin.parts)
+    table: dict = {}  # c_s
+    counts = [0] * n
     chosen: list = []
 
     def visit(start, minor, weight):
@@ -437,7 +402,30 @@ def _left_minor_table(origin: GadgetInstance) -> dict:
             chosen.pop()
 
     visit(0, ONE, ONE)
-    return table
+    moments: dict = {}
+    for key, coeff in table.items():
+        elem = [1] + [0] * n
+        for s in key:
+            for k in range(n, 0, -1):
+                elem[k] += s * elem[k - 1]
+        j = sum(key)
+        for k, e in enumerate(elem):
+            if e:
+                moments[j, k] = moments.get((j, k), 0) + coeff * e
+    return moments
+
+
+def _check_minor_cap(instance: GadgetInstance) -> None:
+    """Refuse a gadget whose 2^m - 1 nonempty left subsets, the most minors
+    the moment search can evaluate, exceed DEFAULT_GADGET_MINOR_CAP.  This
+    admits every n <= 4 mixed-discriminant gadget and no larger one, and
+    every matching gadget of at most 16 bipartite edges."""
+    m = instance.num_left
+    if 2**m - 1 > DEFAULT_GADGET_MINOR_CAP:
+        raise CapExceeded(
+            f"gadget minor cap: 2^{m} - 1 left minors exceed "
+            f"{DEFAULT_GADGET_MINOR_CAP}"
+        )
 
 
 @dataclass(frozen=True)
@@ -492,9 +480,8 @@ def reduction_factors(inst: GadgetInstance, witness, eps, target: str) -> tuple:
     n, m = inst.num_parts, inst.num_left
     # det(K + I) sums all principal minors; the identity right block lets
     # each left subset pair with any of the 2^m right subsets.
-    moments = gadget_moments(inst)
-    normalizer = 2**m * sum(f for (_, k), f in moments.items() if k == 0)
-    ratio = normalizer / inst.kernel.minor(witness)
+    normalizer = 2**m * sum(f for (_, k), f in inst.moments.items() if k == 0)
+    ratio = normalizer / inst.origin_kernel.minor(witness)
     if target == "tree":
         return ratio * 2 / eps, None
     y = ratio * 4 / eps

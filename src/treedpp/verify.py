@@ -9,7 +9,7 @@ a fixed seed.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations
 
 from .dpp import ConstrainedDPP, partition_constrained_sum, sample_exact, z_forest, z_tree
 from .graphs import (
@@ -129,14 +129,14 @@ def _subsets(labels):
 # Property checks.
 
 
-def check_gram_minors_nonnegative(rng, size):
+def check_gram_minors_nonnegative(rng):
     for _ in range(6):
         m = WeightedPSD(random_gram(rng, rng.randint(2, 6)))
         for subset in _subsets(m.labels):
             assert m.minor(subset) >= 0, f"negative minor at {subset!r}"
 
 
-def check_det_matches_ldlt(rng, size):
+def check_det_matches_ldlt(rng):
     for _ in range(6):
         g = random_gram(rng, rng.randint(2, 6))
         lower, diag, perm = ldlt(g)
@@ -151,14 +151,14 @@ def check_det_matches_ldlt(rng, size):
                 assert recon == g.entries[perm[i]][perm[j]], "factorization mismatch"
 
 
-def check_normalizer_matches_subset_sum(rng, size):
+def check_normalizer_matches_subset_sum(rng):
     for _ in range(3):
         m = random_weighted_psd(rng, rng.randint(2, 6))
         total = sum(m.minor(s) for s in _subsets(m.labels))
         assert unconstrained_normalizer(m) == total, "normalizer != subset sum"
 
 
-def check_charpoly_matches_minor_sums(rng, size):
+def check_charpoly_matches_minor_sums(rng):
     for _ in range(4):
         g = random_gram(rng, rng.randint(2, 5))
         coeffs = char_poly_coeffs(g)
@@ -169,7 +169,7 @@ def check_charpoly_matches_minor_sums(rng, size):
             assert coeffs[k - 1] == total, f"coefficient {k} != sum of {k}-minors"
 
 
-def check_psd_criterion(rng, size):
+def check_psd_criterion(rng):
     for _ in range(6):
         g = random_gram(rng, rng.randint(2, 5))
         assert is_psd(g), "Gram matrix reported non-PSD"
@@ -182,7 +182,7 @@ def check_psd_criterion(rng, size):
         assert is_psd(g) == all(e >= 0 for e in char_poly_coeffs(g))
 
 
-def check_tree_enumeration_matches_count(rng, size):
+def check_tree_enumeration_matches_count(rng):
     for _ in range(4):
         g = random_connected_graph(rng, rng.randint(3, 7), extra_edges=rng.randint(1, 3))
         trees = list(enumerate_spanning_trees(g))
@@ -192,7 +192,7 @@ def check_tree_enumeration_matches_count(rng, size):
             assert is_spanning_tree(g, t), f"non-tree {t!r} yielded"
 
 
-def check_forest_enumeration(rng, size):
+def check_forest_enumeration(rng):
     for _ in range(4):
         g = random_connected_graph(rng, rng.randint(3, 6), extra_edges=rng.randint(1, 3))
         forests = list(enumerate_forests(g))
@@ -205,7 +205,7 @@ def check_forest_enumeration(rng, size):
         assert len(forests) == brute, "forest enumeration misses subsets"
 
 
-def check_weighted_tree_count(rng, size):
+def check_weighted_tree_count(rng):
     for _ in range(4):
         g = random_connected_graph(rng, rng.randint(3, 7), extra_edges=rng.randint(1, 2))
         weights = {eid: Rat(rng.randint(1, 5)) for eid in g.edge_by_id}
@@ -218,7 +218,7 @@ def check_weighted_tree_count(rng, size):
         assert count_spanning_trees(g, weights) == total, "weighted count mismatch"
 
 
-def check_ztree_diagonal_matches_weighted_count(rng, size):
+def check_ztree_diagonal_matches_weighted_count(rng):
     for _ in range(4):
         g = random_connected_graph(rng, rng.randint(3, 6), extra_edges=rng.randint(1, 2))
         ids = sorted(g.edge_by_id)
@@ -228,7 +228,7 @@ def check_ztree_diagonal_matches_weighted_count(rng, size):
         assert z_tree(matrix, g) == count_spanning_trees(g, weights)
 
 
-def check_zforest_decomposition(rng, size):
+def check_zforest_decomposition(rng):
     for _ in range(3):
         g = random_connected_graph(rng, rng.randint(3, 6), extra_edges=rng.randint(1, 2))
         ids = sorted(g.edge_by_id)
@@ -243,7 +243,7 @@ def check_zforest_decomposition(rng, size):
         assert 0 <= zt <= zf, "normalizer ordering violated"
 
 
-def check_sampler_calibration(rng, size):
+def check_sampler_calibration(rng):
     g = triangle_graph()
     base = SymMatrix(("a", "b", "c"), [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     dpp = ConstrainedDPP(WeightedPSD(base), "tree", graph=g)
@@ -258,16 +258,14 @@ def check_sampler_calibration(rng, size):
         assert abs(seen - mean) <= bound, f"outcome {outcome!r} off by > 5 sigma"
 
 
-def check_mixed_disc_symmetric(rng, size):
+def check_mixed_disc_symmetric(rng):
     inst = random_md_instance(rng, 3)
     reference = mixed_discriminant(inst)
-    import itertools
-
-    for order in itertools.permutations(inst.matrices):
+    for order in permutations(inst.matrices):
         assert mixed_discriminant(MDInstance(order)) == reference, "not symmetric"
 
 
-def check_mixed_disc_multilinear(rng, size):
+def check_mixed_disc_multilinear(rng):
     n = 3
     base = random_md_instance(rng, n)
     other = random_gram(rng, n)
@@ -285,13 +283,13 @@ def check_mixed_disc_multilinear(rng, size):
     assert lhs == rhs, "not multilinear in the first argument"
 
 
-def check_mixed_disc_nonnegative(rng, size):
+def check_mixed_disc_nonnegative(rng):
     for n in (2, 3):
         assert mixed_discriminant(random_md_instance(rng, n)) >= 0
 
 
-def check_partition_encoding(rng, size):
-    for n in (2, min(size, 3)):
+def check_partition_encoding(rng):
+    for n in (2, 3):
         for _ in range(3):
             inst = random_md_instance(rng, n)
             p = build_partition_instance(inst)
@@ -299,7 +297,7 @@ def check_partition_encoding(rng, size):
             assert lhs == mixed_discriminant(inst), "encoding identity fails"
 
 
-def check_matroid_intersection_exhaustive(rng, size):
+def check_matroid_intersection_exhaustive(rng):
     for _ in range(4):
         dim = rng.randint(2, 3)
         ground = [f"g{i}" for i in range(rng.randint(3, 6))]
@@ -325,7 +323,7 @@ def check_matroid_intersection_exhaustive(rng, size):
                 assert found is None, f"found impossible target {target}"
 
 
-def check_witness_soundness(rng, size):
+def check_witness_soundness(rng):
     for degenerate in (False, True):
         inst = random_md_instance(rng, 2, degenerate=degenerate)
         gadget = build_md_gadget(build_partition_instance(inst))
@@ -340,13 +338,13 @@ def check_witness_soundness(rng, size):
             assert gadget.kernel.minor(witness) > 0, "witness minor vanishes"
 
 
-def check_pm_reduction_matches_permanent(rng, size):
+def check_pm_reduction_matches_permanent(rng):
     for _ in range(4):
         b = random_bipartite(rng, rng.randint(1, 3))
         assert count_pm_via_zt(b) == count_perfect_matchings(b)
 
 
-def check_pm_trees_project_to_matchings(rng, size):
+def check_pm_trees_project_to_matchings(rng):
     b = random_bipartite(rng, 3)
     inst = build_pm_gadget(b)
     matchings = set()
@@ -362,7 +360,7 @@ def check_pm_trees_project_to_matchings(rng, size):
     assert len(matchings) == count_perfect_matchings(b), "matchings do not biject"
 
 
-def check_md_gadget_tree_sum(rng, size):
+def check_md_gadget_tree_sum(rng):
     inst = random_md_instance(rng, 2)
     p = build_partition_instance(inst)
     gadget = build_md_gadget(p)
@@ -374,7 +372,7 @@ def check_md_gadget_tree_sum(rng, size):
     assert total == partition_constrained_sum(p.matrix, p.parts), "tree sum mismatch"
 
 
-def check_md_gadget_subset_claim(rng, size):
+def check_md_gadget_subset_claim(rng):
     inst = random_md_instance(rng, 2)
     gadget = build_md_gadget(build_partition_instance(inst))
     right = list(gadget.right_edges)
@@ -389,7 +387,7 @@ def check_md_gadget_subset_claim(rng, size):
         assert spanning == transversal, f"claim fails at {picked!r}"
 
 
-def check_interpolation(rng, size):
+def check_interpolation(rng):
     for _ in range(3):
         g = random_connected_graph(rng, rng.randint(3, 6), extra_edges=rng.randint(1, 2))
         ids = sorted(g.edge_by_id)
@@ -397,7 +395,7 @@ def check_interpolation(rng, size):
         assert zt_via_zf(matrix, g) == z_tree(matrix, g), "interpolation mismatch"
 
 
-def check_reweight_matches_hadamard(rng, size):
+def check_reweight_matches_hadamard(rng):
     inst = build_md_gadget(build_partition_instance(random_md_instance(rng, 2)))
     lf, rf = Rat(3), Rat(2)
     fast = reweight_rank_one(inst, lf, rf)
@@ -413,7 +411,7 @@ def check_reweight_matches_hadamard(rng, size):
         assert fast.kernel.minor(subset) == direct.minor(subset), "Hadamard mismatch"
 
 
-def check_exact_oracle_matches_generic(rng, size):
+def check_exact_oracle_matches_generic(rng):
     inst = build_md_gadget(build_partition_instance(random_md_instance(rng, 2)))
     scaled = reweight_rank_one(inst, Rat(2), Rat(3))
     nv = inst.graph.num_vertices
@@ -422,7 +420,7 @@ def check_exact_oracle_matches_generic(rng, size):
     assert gadget_z_exact(scaled, "forest") == z_forest(scaled.kernel, scaled.graph, max_edges=ne)
 
 
-def check_oracle_at_forest_route_factors(rng, size):
+def check_oracle_at_forest_route_factors(rng):
     """The forest route reweights by its own (y, x), hundreds of bits at a
     small epsilon; the gadget oracle must still equal the generic sums."""
     inst = random_md_instance(rng, 2)
@@ -453,7 +451,7 @@ def _sandwich_case(report, reference, epsilon):
     assert report.oracle_calls == ((report.target, epsilon / 2),), "call contract broken"
 
 
-def check_tree_sandwich(rng, size):
+def check_tree_sandwich(rng):
     eps = Rat(1, 2)
     inst = random_md_instance(rng, 2)
     reference = mixed_discriminant(inst)
@@ -465,7 +463,7 @@ def check_tree_sandwich(rng, size):
     _sandwich_case(apreduce_md_to_zt(inst, eps, oracle=spec), reference, eps)
 
 
-def check_forest_sandwich(rng, size):
+def check_forest_sandwich(rng):
     eps = Rat(1, 2)
     inst = random_md_instance(rng, 2)
     reference = mixed_discriminant(inst)
@@ -475,7 +473,7 @@ def check_forest_sandwich(rng, size):
         _sandwich_case(apreduce_md_to_zf(inst, eps, oracle=spec), reference, eps)
 
 
-def check_forest_exponent_cases(rng, size):
+def check_forest_exponent_cases(rng):
     inst = random_md_instance(rng, 2)
     report = apreduce_md_to_zf(inst, Rat(1, 2))
     if report.declared_zero:
@@ -499,7 +497,7 @@ def check_forest_exponent_cases(rng, size):
             assert monomial <= x ** (2 * m - 2) * y ** (2 * m) <= top
 
 
-def check_json_roundtrip(rng, size):
+def check_json_roundtrip(rng):
     from . import jsonio
 
     g = random_connected_graph(rng, 5, extra_edges=2)
@@ -550,7 +548,7 @@ ALL_CHECKS = [
 ]
 
 
-def run_verification(seed: int = 0, size: int = 3) -> list:
+def run_verification(seed: int = 0) -> list:
     """Run every check on instances drawn from the seeded generator.
 
     Returns a list of (name, passed, detail) tuples, one per property.
@@ -559,7 +557,7 @@ def run_verification(seed: int = 0, size: int = 3) -> list:
     for name, check in ALL_CHECKS:
         rng = random.Random(f"{seed}:{name}")
         try:
-            check(rng, size)
+            check(rng)
         except AssertionError as exc:
             results.append((name, False, str(exc) or "assertion failed"))
         else:

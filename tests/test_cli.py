@@ -229,9 +229,13 @@ class TestExitCodes:
         assert main([command, str(path)]) == 2
         assert repr(field) in capsys.readouterr().err
 
-    # Only "p" and "p/q" are rationals: decimals, underscores, spaces and
-    # exponents are refused before any big-integer conversion.
-    @pytest.mark.parametrize("literal", ["0.5", "1_000", " 3/4 ", "1e100000", "1e4000000"])
+    # Only "p" and "p/q" are rationals: decimals, underscores, spaces,
+    # exponents and parts over MAX_LITERAL_DIGITS are refused before any
+    # big-integer conversion.
+    @pytest.mark.parametrize("literal", ["0.5", "1_000", " 3/4 ", "1e100000", "1e4000000",
+                                         "1/" + "3" * (jsonio.MAX_LITERAL_DIGITS + 1)],
+                             ids=["0.5", "1_000", " 3/4 ", "1e100000", "1e4000000",
+                                  "over-long"])
     def test_bad_rational_literal_rejected(self, literal, tmp_path, capsys):
         path = tmp_path / "m.json"
         jsonio.write_json(path, {"rows": [[literal]]})
@@ -241,6 +245,27 @@ class TestExitCodes:
     def test_bad_epsilon_literal(self, md_identity_file, capsys):
         assert main(["apreduce-zt", md_identity_file, "--epsilon", "1/0"]) == 2
         assert "1/0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mixed-disc"], ["apreduce-zt"], ["apreduce-zf"],
+        ["apreduce-zt", "--oracle", "noisy"], ["apreduce-zf", "--oracle", "noisy"],
+    ], ids=["mixed-disc", "zt", "zf", "zt-noisy", "zf-noisy"])
+    def test_empty_instance_gives_one(self, argv, tmp_path, capsys):
+        # n = 0: no kernels and D = 1, the empty determinant.  An empty
+        # gadget has one spanning tree and one forest, so the exact oracle
+        # estimates 1 and the noisy one lands inside its window around 1.
+        path = tmp_path / "md0.json"
+        jsonio.write_json(path, {"matrices": []})
+        out = tmp_path / "report.json"
+        extra = [] if argv[0] == "mixed-disc" else ["--json", str(out)]
+        assert main([argv[0], str(path), *argv[1:], *extra]) == 0
+        printed = capsys.readouterr().out.strip()
+        if extra:
+            report = json.loads(out.read_text())
+            assert report["reference"] == "1" and report["bounds_check"]["pass"]
+            assert printed == report["estimate"]
+        if "noisy" not in argv:
+            assert printed == "1"
 
     def test_apreduce_minor_cap(self, tmp_path, capsys):
         eye = {"labels": [str(i) for i in range(5)],
@@ -312,11 +337,11 @@ def test_parser_built_once():
 
 class TestVerifyCommand:
     def test_passes_and_is_deterministic(self, capsys):
-        assert main(["verify", "--seed", "42", "--n", "2"]) == 0
+        assert main(["verify", "--seed", "42"]) == 0
         first = capsys.readouterr().out
         assert "properties passed" in first
         assert "FAIL" not in first
-        assert main(["verify", "--seed", "42", "--n", "2"]) == 0
+        assert main(["verify", "--seed", "42"]) == 0
         assert capsys.readouterr().out == first
 
 

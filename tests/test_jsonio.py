@@ -43,6 +43,16 @@ class TestRationalFormat:
         assert format_rational(Rat(2, 4)) == "1/2"
         assert jsonio.parse_rational(format_rational(Rat(-9, 3))) == -3
 
+    def test_refuses_a_longer_part_before_converting(self, monkeypatch):
+        def forbidden(digits):
+            raise AssertionError("converted an over-long literal")
+
+        monkeypatch.setattr(jsonio, "_text_int", forbidden)
+        over = "7" * (jsonio.MAX_LITERAL_DIGITS + 1)
+        for literal in (over, "-" + over, "1/" + over):
+            with pytest.raises(ValueError, match="bad rational literal"):
+                jsonio.parse_rational(literal)
+
     def test_decimal_refuses_negative_digits(self):
         from treedpp.rational import format_decimal
 
@@ -58,6 +68,8 @@ class TestRationalFormat:
             num = -rng.getrandbits(bits) | 1
             den = rng.getrandbits(bits // 2) * 2 + 1
             text = format_rational(Rat(num, den))
+            assert jsonio.parse_rational(text) == Rat(num, den)
+            assert jsonio.parse_rational(format_rational(num)) == num
             head, _, tail = text.partition("/")
             assert head[0] == "-" and head[1] != "0"
             # Read back 1,000 digits at a time, under the limit.

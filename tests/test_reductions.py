@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from treedpp import dpp, graphs, jsonio, reductions
+from treedpp import dpp, graphs, jsonio, linalg, reductions
 from treedpp.cli import main
 from treedpp.dpp import partition_constrained_sum, z_forest, z_tree
 from treedpp.errors import CapExceeded
@@ -33,7 +33,6 @@ from treedpp.reductions import (
     build_md_gadget,
     build_pm_gadget,
     count_pm_via_zt,
-    gadget_minor_table,
     gadget_moments,
     gadget_z_exact,
     lagrange_leading_coeff,
@@ -336,27 +335,38 @@ class TestExactOracle:
 
     def test_table_sums_to_unconstrained_normalizer(self):
         for name, inst in oracle_gadgets().items():
-            table = gadget_minor_table(inst)
-            assert all(c > 0 for c in table.values()), name
-            total = 2**inst.num_left * sum(table.values())
+            moments = gadget_moments(inst)
+            assert all(f > 0 for f in moments.values()), name
+            total = 2**inst.num_left * sum(f for (_, k), f in moments.items() if k == 0)
             assert total == unconstrained_normalizer(inst.kernel), name
 
     def test_moments_are_elementary_sums_of_the_table(self):
+        # Reference: every left subset S, its minor from a fresh Bareiss
+        # determinant, and e_k of its per-part counts; no DFS, no pruning.
         from itertools import combinations
         from math import prod
 
-        for name, inst in oracle_gadgets().items():
-            n = inst.num_parts
+        gadgets = dict(oracle_gadgets())
+        gadgets["n3"] = build_md_gadget(
+            build_partition_instance(random_md_instance(random.Random(79), 3)))
+        gadgets["empty-middle"] = build_pm_gadget(BipartiteGraph(
+            ("u1", "u2", "u3"), ("w1", "w2", "w3"),
+            [("u1", "w1"), ("u1", "w3"), ("u3", "w1"), ("u3", "w2")]))
+        for name, inst in gadgets.items():
+            base, weights = inst.kernel.base, inst.kernel.weights
             expect = {}
-            for counts, c in gadget_minor_table(inst).items():
-                for k in range(n + 1):
-                    e = sum(prod(sub) for sub in combinations(counts, k))
-                    if e:
-                        key = (sum(counts), k)
-                        expect[key] = expect.get(key, 0) + c * e
+            for size in range(inst.num_left + 1):
+                for subset in combinations(inst.left_edges, size):
+                    minor = det_bareiss([[base[a, b] for b in subset] for a in subset])
+                    c = minor * prod(weights[a] for a in subset)
+                    counts = [len(set(part) & set(subset)) for part in inst.parts]
+                    for k in range(inst.num_parts + 1):
+                        e = sum(prod(sub) for sub in combinations(counts, k))
+                        if c and e:
+                            expect[size, k] = expect.get((size, k), 0) + c * e
             assert gadget_moments(inst) == expect, name
-            # Cached on the origin: a reweighted copy reads the same table.
-            assert gadget_moments(reweight_rank_one(inst, 2, 3)) is gadget_moments(inst)
+            # Built once on the origin: a reweighted copy reads the same table.
+            assert reweight_rank_one(inst, 2, 3).moments is inst.moments, name
 
     @pytest.mark.parametrize("eps", [Rat(1, 2), Rat(1, 2**200)], ids=["half", "tiny"])
     def test_matches_generic_at_forest_route_factors(self, eps):
@@ -381,17 +391,22 @@ class TestExactOracle:
             )
 
     def test_full_rank_table_prunes_nothing(self):
-        table = gadget_minor_table(full_rank_gadget())
-        assert sorted(table) == [(s1, s2) for s1 in range(3) for s2 in range(3)]
+        # Every (j, k) with some s in {0, 1, 2}^2, |s| = j and e_k(s) != 0,
+        # up to the full left set s = (2, 2), where e_2 = 4.
+        inst = full_rank_gadget()
+        moments = gadget_moments(inst)
+        assert sorted(moments) == [(j, k) for j in range(5) for k in range(3) if k <= j]
+        assert moments[4, 2] == 4 * inst.kernel.minor(inst.left_edges)
 
     def test_psd_pruning_bounds_the_search(self, monkeypatch):
         # Unpruned, the n = 4 identity gadget has 2^16 - 1 nonempty left
         # subsets; only those picking distinct factor columns survive.
         inst = build_md_gadget(build_partition_instance(identity_md(4)))
         evaluated = count_minor_dets(monkeypatch)
-        table = gadget_minor_table(inst)
+        moments = gadget_moments(inst)
         assert 0 < len(evaluated) < 2**12
-        assert 2**16 * sum(table.values()) == unconstrained_normalizer(inst.kernel)
+        total = 2**16 * sum(f for (_, k), f in moments.items() if k == 0)
+        assert total == unconstrained_normalizer(inst.kernel)
 
     def test_minor_cap(self, monkeypatch):
         # m = 4 and nothing is pruned: the search evaluates all 2^4 - 1
@@ -399,10 +414,10 @@ class TestExactOracle:
         evaluated = count_minor_dets(monkeypatch)
         monkeypatch.setattr(reductions, "DEFAULT_GADGET_MINOR_CAP", 14)
         with pytest.raises(CapExceeded, match="gadget minor cap"):
-            gadget_minor_table(full_rank_gadget())
+            gadget_moments(full_rank_gadget())
         assert evaluated == []
         monkeypatch.setattr(reductions, "DEFAULT_GADGET_MINOR_CAP", 15)
-        assert gadget_minor_table(full_rank_gadget())
+        assert gadget_moments(full_rank_gadget())
         assert len(evaluated) == 15
 
     def test_matches_generic_tree_sum_at_n3(self):
@@ -449,6 +464,33 @@ class TestTreeRouteFactor:
 
             assert d <= estimate(x) <= (ONE + eps / 2) * d
             assert estimate(ONE) > (ONE + eps / 2) * d
+
+
+class TestReductionReadsTheOrigin:
+    """A reduction reads the origin gadget's kernel, moments and the two
+    factors: the reweighted copy it queries copies no kernel and the
+    gadget graph is never built."""
+
+    @pytest.mark.parametrize("route", [apreduce_md_to_zt, apreduce_md_to_zf])
+    def test_two_psd_tests_per_run(self, route, monkeypatch):
+        # One for the partition encoding's base, one for the gadget's.
+        inst = random_md_instance(random.Random(3), 3)
+        calls = []
+        inner = linalg.is_psd
+        monkeypatch.setattr(linalg, "is_psd", lambda m: calls.append(m) or inner(m))
+        assert route(inst, Rat(1, 2)).bounds_pass
+        assert len(calls) == 2
+
+    def test_no_graph_is_built(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built the gadget graph")
+
+        monkeypatch.setattr(reductions, "Graph", forbidden)
+        inst = random_md_instance(random.Random(3), 3)
+        for route in (apreduce_md_to_zt, apreduce_md_to_zf):
+            report = route(inst, Rat(1, 2))
+            assert not report.declared_zero and report.bounds_pass
+        assert count_pm_via_zt(complete_bipartite(3)) == 6
 
 
 class TestApReduceTree:
