@@ -59,12 +59,12 @@ def _graph_bundle(args, purpose):
 
 def _zt(args):
     dpp = _graph_bundle(args, "the tree normalizer")
-    return _emit_value(args, z_tree(dpp.matrix, dpp.graph, max_vertices=args.max_vertices))
+    return _emit_value(args, z_tree(dpp.matrix, dpp.graph))
 
 
 def _zf(args):
     dpp = _graph_bundle(args, "the forest normalizer")
-    return _emit_value(args, z_forest(dpp.matrix, dpp.graph, max_edges=args.max_edges))
+    return _emit_value(args, z_forest(dpp.matrix, dpp.graph))
 
 
 def _znorm(args):
@@ -85,10 +85,7 @@ def _mixed_disc(args):
 
 
 def _sample(args):
-    draws = sample_exact(
-        jsonio.load_bundle(_read(args)), seed=args.seed, count=args.count,
-        max_vertices=args.max_vertices, max_edges=args.max_edges,
-    )
+    draws = sample_exact(jsonio.load_bundle(_read(args)), seed=args.seed, count=args.count)
     for subset in draws:
         print(json.dumps(list(subset)))
     if args.json_path:
@@ -102,7 +99,7 @@ def _reduce_pm_zt(args):
 
 def _reduce_zt_zf(args):
     dpp = _graph_bundle(args, "interpolation")
-    return _emit_value(args, zt_via_zf(dpp.matrix, dpp.graph, max_edges=args.max_edges))
+    return _emit_value(args, zt_via_zf(dpp.matrix, dpp.graph))
 
 
 def _apreduce(args):
@@ -162,9 +159,6 @@ def _bounded_int(low, high=None):
 
 # flag: argparse keywords.
 _OPTIONS = {
-    "--max-vertices": dict(type=int, metavar="N",
-                           help="override the spanning-tree vertex cap"),
-    "--max-edges": dict(type=int, metavar="N", help="override the forest edge cap"),
     "--seed": dict(type=int, default=0),
     "--count": dict(type=_bounded_int(0), default=10),
     "--epsilon": dict(default="1/2", metavar="P/Q"),
@@ -182,29 +176,37 @@ _APREDUCE_HELP = (
     "with exit 3"
 )
 
+# The forest commands' refusal; DEFAULT_FAMILY_CAP lives in treedpp.dpp.
+_FOREST_CAP_HELP = (
+    "; a graph whose forest bound det(L + I) exceeds DEFAULT_FAMILY_CAP is "
+    "refused with exit 3"
+)
+
 # name: (help, input file, options, handler).  A command offers only the
-# cap flags it reads, so any other cap is a parse error, not silently dropped.
+# options it reads, so any other is a parse error, not silently dropped.
 COMMANDS = {
-    "zt": ("tree-constrained normalizer of an instance bundle", "bundle",
-           ("--max-vertices",), _zt),
-    "zf": ("forest-constrained normalizer of an instance bundle", "bundle",
-           ("--max-edges",), _zf),
+    "zt": ("tree-constrained normalizer of an instance bundle; a graph with "
+           "more than DEFAULT_FAMILY_CAP spanning trees is refused with exit 3",
+           "bundle", (), _zt),
+    "zf": ("forest-constrained normalizer of an instance bundle" + _FOREST_CAP_HELP,
+           "bundle", (), _zf),
     "znorm": ("unconstrained normalizer det(A + I) of a matrix file", "matrix",
               (), _znorm),
     "count-trees": ("weighted spanning-tree count of a graph file", "graph",
                     (), _count_trees),
     "count-pm": ("brute-force perfect matching count", "bipartite", (), _count_pm),
     "mixed-disc": ("brute-force mixed discriminant", "instance", (), _mixed_disc),
-    "sample": ("draw subsets from a constrained DPP", "bundle",
-               ("--max-vertices", "--max-edges", "--seed", "--count"), _sample),
+    "sample": ("draw subsets from a constrained DPP; a family of more than "
+               "DEFAULT_FAMILY_CAP sets (for forests, det(L + I)) is refused "
+               "with exit 3", "bundle", ("--seed", "--count"), _sample),
     "reduce-pm-zt": (
         "matching count via the gadget tree normalizer, from the closed-form "
         "gadget oracle; a gadget with more than "
         f"{DEFAULT_GADGET_MINOR_CAP} nonempty left subsets (over 16 bipartite "
         "edges) is refused with exit 3",
         "bipartite", (), _reduce_pm_zt),
-    "reduce-zt-zf": ("tree normalizer via forest interpolation", "bundle",
-                     ("--max-edges",), _reduce_zt_zf),
+    "reduce-zt-zf": ("tree normalizer via forest interpolation" + _FOREST_CAP_HELP,
+                     "bundle", (), _reduce_zt_zf),
     "apreduce-zt": (_APREDUCE_HELP.format("zt"), "instance", _APREDUCE_OPTIONS,
                     _apreduce),
     "apreduce-zf": (_APREDUCE_HELP.format("zf"), "instance", _APREDUCE_OPTIONS,

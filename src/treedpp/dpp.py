@@ -7,6 +7,14 @@ partition normalizers are one sum of exact principal minors over it
 only the unconstrained normalizer has a closed form, det(L + I).  The point
 is bit-exact ground truth at desk scale, not asymptotic efficiency: the
 sum neither prunes zero minors nor updates them incrementally.
+
+Tree and forest normalizers are #P-hard, so _family is also the one place
+that caps an enumeration: before the first set it computes the family's
+size and refuses (CapExceeded, CLI exit 3) a family of more than
+DEFAULT_FAMILY_CAP sets.  Trees are counted by the matrix-tree theorem,
+transversals by the product of the part sizes and subsets as 2^m; forests
+are bounded above by det(L + I), the rooted-forest count, so a forest
+family can be refused while its true size is under the cap.
 """
 
 from __future__ import annotations
@@ -17,12 +25,18 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded
-from .graphs import Graph, enumerate_forests, enumerate_spanning_trees
+from .graphs import (
+    Graph,
+    count_rooted_forests,
+    count_spanning_trees,
+    enumerate_forests,
+    enumerate_spanning_trees,
+)
 from .linalg import WeightedPSD, unconstrained_normalizer
 from .rational import Rat, Rational
 
-DEFAULT_TRANSVERSAL_CAP = 200_000
-DEFAULT_SUBSET_GROUND_CAP = 16
+# The most sets one family enumeration may visit; _family reads it per call.
+DEFAULT_FAMILY_CAP = 200_000
 
 CONSTRAINTS = ("tree", "forest", "partition", "none")
 
@@ -66,14 +80,14 @@ class ConstrainedDPP:
         return f"ConstrainedDPP(constraint={self.constraint!r}, m={self.matrix.dimension})"
 
 
-def z_tree(matrix: WeightedPSD, graph: Graph, max_vertices: int | None = None) -> Rational:
+def z_tree(matrix: WeightedPSD, graph: Graph) -> Rational:
     """Sum of weighted principal minors over all spanning trees; 0 if disconnected."""
-    return _normalizer(ConstrainedDPP(matrix, "tree", graph=graph), max_vertices=max_vertices)
+    return _normalizer(ConstrainedDPP(matrix, "tree", graph=graph))
 
 
-def z_forest(matrix: WeightedPSD, graph: Graph, max_edges: int | None = None) -> Rational:
+def z_forest(matrix: WeightedPSD, graph: Graph) -> Rational:
     """Sum of weighted principal minors over all forests, including the empty set."""
-    return _normalizer(ConstrainedDPP(matrix, "forest", graph=graph), max_edges=max_edges)
+    return _normalizer(ConstrainedDPP(matrix, "forest", graph=graph))
 
 
 def partition_constrained_sum(matrix: WeightedPSD, parts: Sequence[Sequence]) -> Rational:
@@ -97,35 +111,41 @@ class _SplitMix64:
         return z ^ (z >> 31)
 
 
-def _normalizer(dpp: ConstrainedDPP, max_vertices=None, max_edges=None) -> Rational:
+def _normalizer(dpp: ConstrainedDPP) -> Rational:
     """Sum of dpp.matrix.minor over dpp's family; det(L + I) when unconstrained."""
     if dpp.constraint == "none":
         return unconstrained_normalizer(dpp.matrix)
     total = Rat(0)
-    for subset in _family(dpp, max_vertices, max_edges):
+    for subset in _family(dpp):
         total += dpp.matrix.minor(subset)
     return total
 
 
-def _family(dpp: ConstrainedDPP, max_vertices, max_edges) -> Iterable[tuple]:
-    """The family of dpp's constraint as label tuples, in a fixed order."""
+def _family(dpp: ConstrainedDPP) -> Iterable[tuple]:
+    """The family of dpp's constraint as label tuples, in a fixed order.
+
+    Raises CapExceeded, before any set is produced, when the family's size
+    (for forests, its upper bound det(L + I)) exceeds DEFAULT_FAMILY_CAP.
+    """
     if dpp.constraint == "tree":
-        return enumerate_spanning_trees(dpp.graph, max_vertices=max_vertices)
+        size, what = int(count_spanning_trees(dpp.graph)), "spanning trees"
+    elif dpp.constraint == "forest":
+        size, what = count_rooted_forests(dpp.graph), "rooted forests, det(L + I),"
+    elif dpp.constraint == "partition":
+        size, what = prod(len(part) for part in dpp.parts), "transversals"
+    else:
+        size, what = 1 << dpp.matrix.dimension, "subsets"
+    if size > DEFAULT_FAMILY_CAP:
+        raise CapExceeded(
+            f"enumeration cap: {size} {what} exceed DEFAULT_FAMILY_CAP = {DEFAULT_FAMILY_CAP}"
+        )
+    if dpp.constraint == "tree":
+        return enumerate_spanning_trees(dpp.graph)
     if dpp.constraint == "forest":
-        return enumerate_forests(dpp.graph, max_edges=max_edges)
+        return enumerate_forests(dpp.graph)
     if dpp.constraint == "partition":
-        count = prod(len(part) for part in dpp.parts)
-        if count > DEFAULT_TRANSVERSAL_CAP:
-            raise CapExceeded(
-                f"transversal enumeration cap: {count} exceeds {DEFAULT_TRANSVERSAL_CAP}"
-            )
         return product(*(sorted(part) for part in dpp.parts))
     labels = sorted(dpp.matrix.labels)
-    if len(labels) > DEFAULT_SUBSET_GROUND_CAP:
-        raise CapExceeded(
-            f"subset enumeration cap: {len(labels)} labels exceeds "
-            f"{DEFAULT_SUBSET_GROUND_CAP}"
-        )
 
     def subsets():
         for mask in range(1 << len(labels)):
@@ -134,26 +154,22 @@ def _family(dpp: ConstrainedDPP, max_vertices, max_edges) -> Iterable[tuple]:
     return subsets()
 
 
-def sample_exact(
-    dpp: ConstrainedDPP,
-    seed: int,
-    count: int,
-    max_vertices: int | None = None,
-    max_edges: int | None = None,
-) -> list:
+def sample_exact(dpp: ConstrainedDPP, seed: int, count: int) -> list:
     """Draw i.i.d. subsets with probability minor(S)/Z by inverse CDF.
 
     The generator is a seeded splitmix64 stream mapped to a rational in
     [0, 1) with 128-bit resolution, so runs are reproducible everywhere and
     the selection against exact cumulative sums never rounds.  Subsets with
-    zero minor stay in the enumeration but are never selected.
+    zero minor stay in the enumeration but are never selected.  The whole
+    family is held in memory, which _family's cap bounds: at most
+    DEFAULT_FAMILY_CAP outcomes and their cumulative sums.
     """
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
     outcomes = []
     cums = []
     total = Rat(0)
-    for subset in _family(dpp, max_vertices, max_edges):
+    for subset in _family(dpp):
         mass = dpp.matrix.minor(subset)
         total += mass
         outcomes.append(tuple(sorted(subset)))

@@ -1,22 +1,23 @@
 """Simple undirected graphs, exhaustive tree/forest enumeration, and counting.
 
 Enumeration is deletion/contraction with deterministic branching on the
-lowest edge id, guarded by caps: the module constants below, read at call
-time, unless the caller passes max_vertices / max_edges.  Counting goes
-through the weighted Laplacian determinant.
+lowest edge id.  It is uncapped here: dpp._family caps each family by its
+size, which the two counts below give from one integer Laplacian
+determinant each (Kirchhoff's matrix-tree theorem for spanning trees, the
+matrix-forest theorem for the rooted-forest bound on forests).  Only the
+brute-force perfect-matching count keeps a cap of its own.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded
-from .linalg import det_bareiss
+from .linalg import det_int
 from .rational import ONE, Rat, Rational, as_rational
 
-DEFAULT_TREE_VERTEX_CAP = 12
-DEFAULT_FOREST_EDGE_CAP = 24
 DEFAULT_MATCHING_SIZE_CAP = 10
 
 
@@ -125,21 +126,12 @@ class _DSU:
         self.size[ra] -= self.size[token]
 
 
-def enumerate_spanning_trees(graph: Graph, max_vertices: int | None = None) -> Iterator[tuple]:
+def enumerate_spanning_trees(graph: Graph) -> Iterator[tuple]:
     """Yield the edge-id set of every spanning tree, each exactly once.
 
     Deterministic order: recursion branches on the lowest remaining edge id,
     taking the edge before skipping it.  Disconnected graphs yield nothing.
     """
-    cap = DEFAULT_TREE_VERTEX_CAP if max_vertices is None else max_vertices
-    if graph.num_vertices > cap:
-        raise CapExceeded(
-            f"spanning-tree enumeration cap: |V| = {graph.num_vertices} exceeds {cap}"
-        )
-    return _tree_stream(graph)
-
-
-def _tree_stream(graph: Graph) -> Iterator[tuple]:
     edges = sorted(graph.edges)
     dsu = _DSU(graph.vertices)
 
@@ -184,13 +176,8 @@ def _tree_stream(graph: Graph) -> Iterator[tuple]:
     yield from rec(0, graph.num_vertices)
 
 
-def enumerate_forests(graph: Graph, max_edges: int | None = None) -> Iterator[tuple]:
+def enumerate_forests(graph: Graph) -> Iterator[tuple]:
     """Yield every acyclic edge-id subset (including the empty set) once."""
-    cap = DEFAULT_FOREST_EDGE_CAP if max_edges is None else max_edges
-    if graph.num_edges > cap:
-        raise CapExceeded(
-            f"forest enumeration cap: |E| = {graph.num_edges} exceeds {cap}"
-        )
     edges = sorted(graph.edges)
     dsu = _DSU(graph.vertices)
     chosen: list = []
@@ -225,37 +212,49 @@ def is_spanning_tree(graph: Graph, edge_ids: Iterable) -> bool:
     return len(ids) == graph.num_vertices - 1 and is_forest_subset(graph, ids)
 
 
+def _laplacian(graph: Graph, weights: Mapping | None = None, shift: int = 0) -> list:
+    """Rows of L + shift*I over graph.vertices, for integer edge weights
+    (1 on every edge when weights is None)."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    lap = [[shift if i == j else 0 for j in range(len(index))] for i in range(len(index))]
+    for eid, u, v in graph.edges:
+        w = 1 if weights is None else weights[eid]
+        iu, iv = index[u], index[v]
+        lap[iu][iu] += w
+        lap[iv][iv] += w
+        lap[iu][iv] -= w
+        lap[iv][iu] -= w
+    return lap
+
+
 def count_spanning_trees(graph: Graph, edge_weights: Mapping | None = None) -> Rational:
     """Weighted spanning-tree count via the Laplacian determinant.
 
     With unit weights this is the number of spanning trees; in general it is
     the sum over spanning trees of the product of edge weights.  Disconnected
-    graphs give 0.
+    graphs give 0.  The weights are scaled to integers by their common
+    denominator q, and the reduced Laplacian's integer determinant is divided
+    by q^(|V| - 1).
     """
     n = graph.num_vertices
     if n == 0:
         return Rat(0)
-    if n == 1:
-        return ONE
     weights = {}
     for eid, _, _ in graph.edges:
         w = ONE if edge_weights is None else as_rational(edge_weights.get(eid, ONE))
         if w <= 0:
             raise ValueError(f"edge weight for {eid!r} must be positive")
         weights[eid] = w
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    lap = [[Rat(0)] * (n - 1) for _ in range(n - 1)]
-    for eid, u, v in graph.edges:
-        iu, iv = index[u], index[v]
-        w = weights[eid]
-        if iu < n - 1:
-            lap[iu][iu] += w
-        if iv < n - 1:
-            lap[iv][iv] += w
-        if iu < n - 1 and iv < n - 1:
-            lap[iu][iv] -= w
-            lap[iv][iu] -= w
-    return det_bareiss(lap)
+    scale = lcm(*(w.denominator for w in weights.values()))
+    lap = _laplacian(graph, {eid: w.numerator * (scale // w.denominator)
+                             for eid, w in weights.items()})
+    return Rat(det_int([row[:-1] for row in lap[:-1]]), scale ** (n - 1))
+
+
+def count_rooted_forests(graph: Graph) -> int:
+    """det(L + I): the number of spanning forests with one marked vertex per
+    tree (the matrix-forest theorem), so at least the number of forests."""
+    return det_int(_laplacian(graph, shift=1))
 
 
 def count_perfect_matchings(graph: BipartiteGraph) -> int:

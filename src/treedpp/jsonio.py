@@ -100,7 +100,7 @@ def load_weighted_psd(obj) -> WeightedPSD:
 
 def dump_sym_matrix(matrix: SymMatrix) -> dict:
     return {
-        "labels": [str(a) for a in matrix.labels],
+        "labels": list(matrix.labels),
         "rows": [[format_rational(v) for v in row] for row in matrix.entries],
     }
 
@@ -129,10 +129,12 @@ def load_graph(obj) -> tuple:
     weights = obj.get("weights")
     if weights is not None:
         _typed(weights, "weights", _OBJECT)
-        weights = {eid: parse_rational(w) for eid, w in weights.items()}
-        unknown = set(weights) - set(graph.edge_by_id)
+        # JSON object keys are strings, so integer edge ids are keyed by str(id).
+        unknown = set(weights) - {str(eid) for eid in graph.edge_by_id}
         if unknown:
             raise ValueError(f"weights reference unknown edges {sorted(unknown)!r}")
+        weights = {eid: parse_rational(weights[str(eid)])
+                   for eid in graph.edge_by_id if str(eid) in weights}
     return graph, weights
 
 
@@ -142,7 +144,7 @@ def dump_graph(graph: Graph, weights: Mapping | None = None) -> dict:
         "edges": [[eid, u, v] for eid, u, v in graph.edges],
     }
     if weights is not None:
-        obj["weights"] = {eid: format_rational(w) for eid, w in weights.items()}
+        obj["weights"] = {str(eid): format_rational(w) for eid, w in weights.items()}
     return obj
 
 

@@ -224,6 +224,36 @@ def det_bareiss(matrix) -> Rational:
     return _bareiss(_as_rows(matrix))
 
 
+def det_int(rows: list) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    The same pivoting as _bareiss, but every division is exact in the
+    integers, so no Fraction is built; rows is not modified.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [row[:] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            mik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
 def char_poly_coeffs(matrix) -> tuple:
     """Coefficients e_1..e_n of det(tI + M) = t^n + e_1 t^(n-1) + ... + e_n.
 

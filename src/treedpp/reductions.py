@@ -229,7 +229,7 @@ def lagrange_leading_coeff(points: Sequence, degree_bound: int) -> Rational:
     return lead
 
 
-def zt_via_zf(matrix: WeightedPSD, graph: Graph, max_edges: int | None = None) -> Rational:
+def zt_via_zf(matrix: WeightedPSD, graph: Graph) -> Rational:
     """Recover the tree normalizer from forest normalizers by interpolation.
 
     Scaling every weight by x multiplies each forest's minor by x^|S|, so
@@ -243,7 +243,7 @@ def zt_via_zf(matrix: WeightedPSD, graph: Graph, max_edges: int | None = None) -
     points = []
     for x in range(1, n + 1):
         scaled = matrix.scaled_all(Rat(x))
-        points.append((Rat(x), z_forest(scaled, graph, max_edges=max_edges)))
+        points.append((Rat(x), z_forest(scaled, graph)))
     return lagrange_leading_coeff(points, n - 1)
 
 

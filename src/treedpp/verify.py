@@ -8,7 +8,10 @@ a fixed seed.
 
 from __future__ import annotations
 
+import json
+import math
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 from .dpp import ConstrainedDPP, partition_constrained_sum, sample_exact, z_forest, z_tree
@@ -16,6 +19,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     count_perfect_matchings,
+    count_rooted_forests,
     count_spanning_trees,
     enumerate_forests,
     enumerate_spanning_trees,
@@ -116,6 +120,13 @@ def random_md_instance(rng, n, degenerate=False):
     return MDInstance(tuple(mats))
 
 
+def complete_graph(n):
+    """K_n on vertices "0".."n-1", edge ids e00, e01, ... in row order."""
+    vertices = [str(i) for i in range(n)]
+    pairs = [(vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
+    return Graph(vertices, [(f"e{k:02d}", u, v) for k, (u, v) in enumerate(pairs)])
+
+
 def triangle_graph():
     return Graph(("1", "2", "3"), (("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")))
 
@@ -203,6 +214,35 @@ def check_forest_enumeration(rng):
             1 for s in _subsets(sorted(g.edge_by_id)) if is_forest_subset(g, s)
         )
         assert len(forests) == brute, "forest enumeration misses subsets"
+
+
+def rooted_forest_sum(graph):
+    """Sum over the enumerated forests of the product of their component
+    sizes (isolated vertices included): the number of rooted spanning
+    forests, found without a determinant."""
+    total = 0
+    for forest in enumerate_forests(graph):
+        parent = {v: v for v in graph.vertices}
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for eid in forest:
+            u, v = graph.edge_by_id[eid]
+            parent[root(u)] = root(v)
+        total += math.prod(Counter(root(v) for v in graph.vertices).values())
+    return total
+
+
+def check_rooted_forest_count(rng):
+    """det(L + I), the forest cap's bound, is the rooted-forest count."""
+    for _ in range(4):
+        g = random_connected_graph(rng, rng.randint(1, 6), extra_edges=rng.randint(0, 3))
+        if rng.random() < 0.5:
+            g = Graph(g.vertices + ("isolated",), g.edges)
+        assert count_rooted_forests(g) == rooted_forest_sum(g), "det(L + I) != rooted forests"
 
 
 def check_weighted_tree_count(rng):
@@ -348,7 +388,7 @@ def check_pm_trees_project_to_matchings(rng):
     b = random_bipartite(rng, 3)
     inst = build_pm_gadget(b)
     matchings = set()
-    for tree in enumerate_spanning_trees(inst.graph, max_vertices=inst.graph.num_vertices):
+    for tree in enumerate_spanning_trees(inst.graph):
         if inst.kernel.minor(tree) == 0:
             continue
         assert set(inst.right_edges) <= set(tree), "surviving tree misses right edges"
@@ -366,7 +406,7 @@ def check_md_gadget_tree_sum(rng):
     gadget = build_md_gadget(p)
     total = Rat(0)
     right = set(gadget.right_edges)
-    for tree in enumerate_spanning_trees(gadget.graph, max_vertices=gadget.graph.num_vertices):
+    for tree in enumerate_spanning_trees(gadget.graph):
         if right <= set(tree):
             total += gadget.kernel.minor(tree)
     assert total == partition_constrained_sum(p.matrix, p.parts), "tree sum mismatch"
@@ -414,10 +454,8 @@ def check_reweight_matches_hadamard(rng):
 def check_exact_oracle_matches_generic(rng):
     inst = build_md_gadget(build_partition_instance(random_md_instance(rng, 2)))
     scaled = reweight_rank_one(inst, Rat(2), Rat(3))
-    nv = inst.graph.num_vertices
-    ne = inst.graph.num_edges
-    assert gadget_z_exact(scaled, "tree") == z_tree(scaled.kernel, scaled.graph, max_vertices=nv)
-    assert gadget_z_exact(scaled, "forest") == z_forest(scaled.kernel, scaled.graph, max_edges=ne)
+    assert gadget_z_exact(scaled, "tree") == z_tree(scaled.kernel, scaled.graph)
+    assert gadget_z_exact(scaled, "forest") == z_forest(scaled.kernel, scaled.graph)
 
 
 def check_oracle_at_forest_route_factors(rng):
@@ -430,10 +468,10 @@ def check_oracle_at_forest_route_factors(rng):
     gadget = build_md_gadget(build_partition_instance(inst))
     scaled = reweight_rank_one(gadget, report.y, report.x)
     g = scaled.graph
-    forest = z_forest(scaled.kernel, g, max_edges=g.num_edges)
+    forest = z_forest(scaled.kernel, g)
     assert gadget_z_exact(scaled, "forest") == forest, "forest oracle mismatch"
     assert report.oracle_value == forest, "reported oracle value mismatch"
-    tree = z_tree(scaled.kernel, g, max_vertices=g.num_vertices)
+    tree = z_tree(scaled.kernel, g)
     assert gadget_z_exact(scaled, "tree") == tree, "tree oracle mismatch"
 
 
@@ -483,7 +521,7 @@ def check_forest_exponent_cases(rng):
     n, m = gadget.num_parts, gadget.num_left
     top = x ** (2 * m) * y ** (2 * n)
     right = set(gadget.right_edges)
-    for forest in enumerate_forests(gadget.graph, max_edges=gadget.graph.num_edges):
+    for forest in enumerate_forests(gadget.graph):
         r = len([e for e in forest if e in right])
         l = len(forest) - r
         monomial = x ** (2 * r) * y ** (2 * l)
@@ -500,18 +538,24 @@ def check_forest_exponent_cases(rng):
 def check_json_roundtrip(rng):
     from . import jsonio
 
+    def through_json(obj):
+        return json.loads(json.dumps(obj))
+
     g = random_connected_graph(rng, 5, extra_edges=2)
-    weights = {eid: Rat(rng.randint(1, 9), rng.choice((1, 2, 3))) for eid in g.edge_by_id}
-    g2, w2 = jsonio.load_graph(jsonio.dump_graph(g, weights))
-    assert g2.vertices == g.vertices and g2.edges == g.edges and w2 == weights
+    # JSON object keys are strings; integer edge ids must keep their weights.
+    numbered = Graph(g.vertices, [(k, u, v) for k, (_, u, v) in enumerate(g.edges)])
+    for graph in (g, numbered):
+        weights = {eid: Rat(rng.randint(1, 9), rng.choice((1, 2, 3))) for eid in graph.edge_by_id}
+        g2, w2 = jsonio.load_graph(through_json(jsonio.dump_graph(graph, weights)))
+        assert g2.vertices == graph.vertices and g2.edges == graph.edges and w2 == weights
     m = random_weighted_psd(rng, 4)
-    m2 = jsonio.load_weighted_psd(jsonio.dump_weighted_psd(m))
+    m2 = jsonio.load_weighted_psd(through_json(jsonio.dump_weighted_psd(m)))
     assert m2.base == m.base and m2.weights == m.weights
     b = random_bipartite(rng, 3)
-    b2 = jsonio.load_bipartite(jsonio.dump_bipartite(b))
+    b2 = jsonio.load_bipartite(through_json(jsonio.dump_bipartite(b)))
     assert (b2.left, b2.right, b2.edges) == (b.left, b.right, b.edges)
     inst = random_md_instance(rng, 2)
-    inst2 = jsonio.load_md_instance(jsonio.dump_md_instance(inst))
+    inst2 = jsonio.load_md_instance(through_json(jsonio.dump_md_instance(inst)))
     assert inst2.matrices == inst.matrices
 
 
@@ -523,6 +567,7 @@ ALL_CHECKS = [
     ("psd-criterion-consistent", check_psd_criterion),
     ("tree-enumeration-matches-count", check_tree_enumeration_matches_count),
     ("forest-enumeration-complete", check_forest_enumeration),
+    ("rooted-forest-count", check_rooted_forest_count),
     ("weighted-tree-count", check_weighted_tree_count),
     ("ztree-diagonal-weighted-count", check_ztree_diagonal_matches_weighted_count),
     ("zforest-decomposition", check_zforest_decomposition),

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from treedpp import jsonio
-from treedpp.cli import MAX_DECIMAL_DIGITS, _build_parser, main
-from treedpp.verify import random_md_instance
+from treedpp.cli import COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, main
+from treedpp.dpp import ConstrainedDPP
+from treedpp.graphs import Graph
+from treedpp.linalg import SymMatrix, WeightedPSD
+from treedpp.mixed_disc import build_partition_instance
+from treedpp.reductions import build_md_gadget, gadget_z_exact
+from treedpp.rational import format_rational
+from treedpp.verify import complete_graph, random_md_instance
 
 # Hypothesis caches source constants and unicode tables even without an
 # example database; keep them out of the working tree.
@@ -61,6 +67,19 @@ def md_identity_file(tmp_path):
     return str(path)
 
 
+def write_bundle(path, graph, matrix=None):
+    """A tree bundle file of graph, with the identity kernel unless matrix is given."""
+    if matrix is None:
+        ids = [eid for eid, _, _ in graph.edges]
+        matrix = WeightedPSD(SymMatrix(ids, [[int(a == b) for b in ids] for a in ids]))
+    jsonio.write_json(path, jsonio.dump_bundle(ConstrainedDPP(matrix, "tree", graph=graph)))
+    return str(path)
+
+
+def integer_triangle():
+    return Graph([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
+
+
 class TestValueCommands:
     def test_zt(self, triangle_bundle, capsys):
         assert main(["zt", triangle_bundle]) == 0
@@ -88,6 +107,17 @@ class TestValueCommands:
         )
         assert main(["count-trees", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "31"
+
+    def test_integer_edge_ids(self, tmp_path, capsys):
+        # JSON object keys are strings: weight "1" belongs to edge id 1.
+        path = tmp_path / "g.json"
+        weights = {0: 2, 1: 3, 2: 5}
+        jsonio.write_json(path, jsonio.dump_graph(integer_triangle(), weights))
+        assert main(["count-trees", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "31"
+        bundle = write_bundle(tmp_path / "b.json", integer_triangle())
+        assert main(["zt", bundle]) == 0
+        assert capsys.readouterr().out.strip() == "3"
 
     def test_count_pm(self, k33_file, capsys):
         assert main(["count-pm", k33_file]) == 0
@@ -198,14 +228,14 @@ class TestExitCodes:
         assert "labels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag", [
-        ("apreduce-zt", "--max-edges"), ("apreduce-zf", "--max-vertices"),
-        ("znorm", "--max-vertices"), ("zt", "--max-edges"), ("zf", "--max-vertices"),
-        ("reduce-pm-zt", "--max-edges"),
+        (command, f"--max-{size}") for command in COMMANDS for size in ("edges", "vertices")
     ])
     def test_unread_cap_flags_refused(self, command, flag, md_identity_file, capsys):
-        # A command offers only the caps it reads; any other is a parse error.
+        # The size caps have no flags: DEFAULT_FAMILY_CAP is the one
+        # enumeration cap, so either old flag is a parse error everywhere.
+        argv = [command] + ([md_identity_file] if command != "verify" else [])
         with pytest.raises(SystemExit) as exc:
-            main([command, md_identity_file, flag, "30"])
+            main(argv + [flag, "30"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
@@ -318,6 +348,27 @@ class TestExitCodes:
         report = json.loads(out.read_text())
         assert len(report["oracle_value"]) > 4300
         assert capsys.readouterr().out.strip() == report["estimate"]
+
+    @pytest.mark.parametrize("command", ["zt", "sample"])
+    def test_family_cap_counts_trees(self, command, tmp_path, monkeypatch, capsys):
+        # K12 has 12 vertices and 12^10 = 61,917,364,224 spanning trees.
+        path = write_bundle(tmp_path / "k12.json", complete_graph(12))
+
+        def forbidden(self, positions):
+            raise AssertionError("a minor was evaluated")
+
+        monkeypatch.setattr(SymMatrix, "minor_det", forbidden)
+        assert main([command, path]) == 3
+        assert "61917364224 spanning trees" in capsys.readouterr().err
+
+    def test_gadget_bundle_passes_zt(self, tmp_path, capsys):
+        # The n = 3 gadget: 13 vertices and 1,728 spanning trees.
+        gadget = build_md_gadget(build_partition_instance(
+            random_md_instance(random.Random(0), 3)))
+        assert gadget.graph.num_vertices == 13
+        path = write_bundle(tmp_path / "gadget.json", gadget.graph, matrix=gadget.kernel)
+        assert main(["zt", path]) == 0
+        assert capsys.readouterr().out.strip() == format_rational(gadget_z_exact(gadget, "tree"))
 
     def test_cap_exceeded(self, tmp_path, capsys):
         left = [f"u{i}" for i in range(11)]

@@ -16,8 +16,17 @@ from treedpp.dpp import (
 from treedpp.errors import CapExceeded
 from treedpp.graphs import Graph, count_spanning_trees, enumerate_spanning_trees
 from treedpp.linalg import SymMatrix, WeightedPSD
+from treedpp.mixed_disc import build_partition_instance
 from treedpp.rational import ONE, Rat
-from treedpp.verify import random_connected_graph, random_weighted_psd, triangle_graph
+from treedpp.reductions import build_md_gadget
+from treedpp.verify import (
+    complete_graph,
+    random_connected_graph,
+    random_md_instance,
+    random_weighted_psd,
+    rooted_forest_sum,
+    triangle_graph,
+)
 
 
 def identity_kernel(labels):
@@ -100,17 +109,6 @@ class TestPartitionSum:
         with pytest.raises(ValueError, match="disjoint"):
             partition_constrained_sum(m, (("1", "2"), ("2",)))
 
-    def test_transversal_cap(self, monkeypatch):
-        m = identity_kernel(("1", "2", "3", "4"))
-        parts = (("1", "2"), ("3", "4"))
-        monkeypatch.setattr(dpp_module, "DEFAULT_TRANSVERSAL_CAP", 3)
-        with pytest.raises(CapExceeded, match="transversal enumeration cap: 4 exceeds 3"):
-            partition_constrained_sum(m, parts)
-        with pytest.raises(CapExceeded, match="transversal enumeration cap"):
-            sample_exact(ConstrainedDPP(m, "partition", parts=parts), seed=0, count=1)
-        monkeypatch.setattr(dpp_module, "DEFAULT_TRANSVERSAL_CAP", 4)
-        assert partition_constrained_sum(m, parts) == 4
-
 
 def seeded_dpps(seed):
     """One DPP per constraint on a seeded instance: a 5-vertex graph with
@@ -138,9 +136,69 @@ class TestNormalizer:
         for seed in (0, 1, 2):
             d = seeded_dpps(seed)[constraint]
             stream = Rat(0)
-            for subset in dpp_module._family(d, None, None):
+            for subset in dpp_module._family(d):
                 stream += d.matrix.minor(subset)
             assert dpp_module._normalizer(d) == stream
+
+
+def forbid_minors(monkeypatch):
+    """Make any SymMatrix.minor_det call fail the test."""
+    def forbidden(self, positions):
+        raise AssertionError("a minor was evaluated")
+
+    monkeypatch.setattr(SymMatrix, "minor_det", forbidden)
+
+
+class TestFamilyCap:
+    @pytest.mark.parametrize("constraint", dpp_module.CONSTRAINTS)
+    def test_admitted_at_its_size_refused_one_below(self, constraint, monkeypatch):
+        # The size the cap reads, by enumeration: for forests each forest
+        # counts once per choice of one root in each of its trees.
+        d = seeded_dpps(0)[constraint]
+        if constraint == "forest":
+            size = rooted_forest_sum(d.graph)
+        else:
+            size = sum(1 for _ in dpp_module._family(d))
+        monkeypatch.setattr(dpp_module, "DEFAULT_FAMILY_CAP", size - 1)
+        forbid_minors(monkeypatch)
+        with pytest.raises(CapExceeded, match=f"cap: {size} .* = {size - 1}$"):
+            sample_exact(d, seed=0, count=1)
+        if constraint != "none":
+            with pytest.raises(CapExceeded):
+                dpp_module._normalizer(d)
+        monkeypatch.undo()
+        monkeypatch.setattr(dpp_module, "DEFAULT_FAMILY_CAP", size)
+        assert len(sample_exact(d, seed=0, count=1)) == 1
+        assert dpp_module._normalizer(d) > 0
+
+    def test_counts_trees_not_vertices(self, monkeypatch):
+        # A 13-vertex path has one spanning tree; K8 has 8^6 = 262,144.
+        path = Graph([str(i) for i in range(13)],
+                     [(f"e{i:02d}", str(i), str(i + 1)) for i in range(12)])
+        assert z_tree(identity_kernel(sorted(path.edge_by_id)), path) == 1
+        k8 = complete_graph(8)
+        kernel = identity_kernel(sorted(k8.edge_by_id))
+        forbid_minors(monkeypatch)
+        with pytest.raises(CapExceeded, match="262144 spanning trees"):
+            z_tree(kernel, k8)
+
+    def test_forest_bound_can_refuse_an_admissible_family(self, monkeypatch):
+        # The n = 3 gadget has 157,464 forests, under the cap, but its
+        # rooted-forest bound det(L + I) is 3,680,721.
+        gadget = build_md_gadget(build_partition_instance(
+            random_md_instance(random.Random(0), 3)))
+        kernel = gadget.kernel
+        forbid_minors(monkeypatch)
+        with pytest.raises(CapExceeded, match="3680721 rooted forests"):
+            z_forest(kernel, gadget.graph)
+
+    def test_seventeen_free_labels_are_admitted(self):
+        # 2^17 = 131,072 subsets; 18 labels give 262,144.  _family checks
+        # before it returns the stream, so nothing here enumerates.
+        labels = [f"a{i:02d}" for i in range(18)]
+        dpp_module._family(ConstrainedDPP(identity_kernel(labels[:17]), "none"))
+        with pytest.raises(CapExceeded, match="262144 subsets"):
+            dpp_module._family(ConstrainedDPP(identity_kernel(labels), "none"))
 
 
 class TestSampling:

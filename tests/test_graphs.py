@@ -9,6 +9,7 @@ from treedpp.graphs import (
     BipartiteGraph,
     Graph,
     count_perfect_matchings,
+    count_rooted_forests,
     count_spanning_trees,
     enumerate_forests,
     enumerate_spanning_trees,
@@ -18,18 +19,13 @@ from treedpp.graphs import (
 from treedpp.dpp import z_tree
 from treedpp.linalg import SymMatrix, WeightedPSD
 from treedpp.rational import ONE, Rat
-from treedpp.verify import random_bipartite, random_connected_graph, triangle_graph
-
-
-def complete_graph(n):
-    vertices = [str(i) for i in range(n)]
-    edges = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((f"e{k:02d}", vertices[i], vertices[j]))
-            k += 1
-    return Graph(vertices, edges)
+from treedpp.verify import (
+    complete_graph,
+    random_bipartite,
+    random_connected_graph,
+    rooted_forest_sum,
+    triangle_graph,
+)
 
 
 def complete_bipartite(n):
@@ -92,10 +88,11 @@ class TestSpanningTrees:
         g = Graph(vertices, triangle_graph().edges)
         assert not is_spanning_tree(g, ids)
 
-    def test_cap_is_enforced_and_named(self):
-        g = complete_graph(5)
-        with pytest.raises(CapExceeded, match=r"\|V\| = 5 exceeds 4"):
-            list(enumerate_spanning_trees(g, max_vertices=4))
+    def test_enumeration_is_not_capped_by_size(self):
+        # 13 vertices, one tree: the graph's size no longer refuses it.
+        path = Graph([str(i) for i in range(13)],
+                     [(f"e{i:02d}", str(i), str(i + 1)) for i in range(12)])
+        assert list(enumerate_spanning_trees(path)) == [tuple(sorted(path.edge_by_id))]
 
     def test_yields_are_spanning_trees(self):
         rng = random.Random(3)
@@ -129,10 +126,17 @@ class TestForests:
         g = Graph(("1", "2", "3", "4"), (("a", "1", "2"), ("b", "3", "4")))
         assert len(list(enumerate_forests(g))) == 4
 
-    def test_cap_is_enforced(self):
-        g = complete_graph(5)
-        with pytest.raises(CapExceeded, match="exceeds 9"):
-            list(enumerate_forests(g, max_edges=9))
+    def test_rooted_forest_count_bounds_forests(self):
+        # det(L + I) of K_n is (n + 1)^(n - 1).  The triangle's 7 forests
+        # have 1 + 3*2 + 3*3 = 16 choices of one root per tree.
+        assert rooted_forest_sum(triangle_graph()) == 16
+        for n in range(1, 7):
+            assert count_rooted_forests(complete_graph(n)) == (n + 1) ** (n - 1)
+        rng = random.Random(21)
+        for _ in range(5):
+            g = random_connected_graph(rng, rng.randint(2, 6), extra_edges=rng.randint(0, 3))
+            assert count_rooted_forests(g) == rooted_forest_sum(g)
+            assert count_rooted_forests(g) >= len(list(enumerate_forests(g)))
 
     def test_matches_brute_force(self):
         rng = random.Random(15)

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from treedpp import jsonio
 from treedpp.dpp import ConstrainedDPP, z_tree
+from treedpp.graphs import Graph
 from treedpp.rational import Rat
 from treedpp.reductions import apreduce_md_to_zt
 from treedpp.verify import (
@@ -13,6 +15,15 @@ from treedpp.verify import (
     random_weighted_psd,
     triangle_graph,
 )
+
+
+def through_json(obj):
+    """obj as a reader of its JSON text sees it: object keys become strings."""
+    return json.loads(json.dumps(obj))
+
+
+def integer_triangle():
+    return Graph([0, 1, 2], [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
 
 
 class TestRationalFormat:
@@ -86,10 +97,12 @@ class TestMatrixRoundtrip:
     def test_weighted_psd(self):
         rng = random.Random(1)
         for _ in range(5):
-            m = random_weighted_psd(rng, rng.randint(1, 5))
-            back = jsonio.load_weighted_psd(jsonio.dump_weighted_psd(m))
-            assert back.base == m.base
-            assert back.weights == m.weights
+            n = rng.randint(1, 5)
+            for ids in ([f"a{i}" for i in range(n)], list(range(n))):
+                m = random_weighted_psd(rng, n, labels=ids)
+                back = jsonio.load_weighted_psd(through_json(jsonio.dump_weighted_psd(m)))
+                assert back.base == m.base
+                assert back.weights == m.weights
 
     def test_labels_default_to_indices(self):
         m = jsonio.load_sym_matrix({"rows": [["1", "0"], ["0", "1"]]})
@@ -111,8 +124,15 @@ class TestGraphRoundtrip:
         rng = random.Random(2)
         g = random_connected_graph(rng, 6, extra_edges=3)
         weights = {eid: Rat(rng.randint(1, 9), rng.choice((1, 2, 5))) for eid in g.edge_by_id}
-        g2, w2 = jsonio.load_graph(jsonio.dump_graph(g, weights))
+        g2, w2 = jsonio.load_graph(through_json(jsonio.dump_graph(g, weights)))
         assert g2.vertices == g.vertices
+        assert g2.edges == g.edges
+        assert w2 == weights
+
+    def test_integer_edge_ids_keep_their_weights(self):
+        g = integer_triangle()
+        weights = {0: Rat(2), 1: Rat(3, 2), 2: Rat(5)}
+        g2, w2 = jsonio.load_graph(through_json(jsonio.dump_graph(g, weights)))
         assert g2.edges == g.edges
         assert w2 == weights
 
@@ -124,26 +144,27 @@ class TestGraphRoundtrip:
 
     def test_bipartite(self):
         b = random_bipartite(random.Random(3), 3)
-        b2 = jsonio.load_bipartite(jsonio.dump_bipartite(b))
+        b2 = jsonio.load_bipartite(through_json(jsonio.dump_bipartite(b)))
         assert (b2.left, b2.right, b2.edges) == (b.left, b.right, b.edges)
 
 
 class TestBundleRoundtrip:
     def test_tree_bundle(self):
-        g = triangle_graph()
-        ids = sorted(g.edge_by_id)
-        m = random_weighted_psd(random.Random(4), 3, labels=ids)
-        dpp = ConstrainedDPP(m, "tree", graph=g)
-        back = jsonio.load_bundle(jsonio.dump_bundle(dpp))
-        assert back.constraint == "tree"
-        assert back.matrix.base == m.base
-        assert back.matrix.weights == m.weights
-        assert z_tree(back.matrix, back.graph) == z_tree(m, g)
+        for g in (triangle_graph(), integer_triangle()):
+            ids = sorted(g.edge_by_id)
+            m = random_weighted_psd(random.Random(4), 3, labels=ids)
+            dpp = ConstrainedDPP(m, "tree", graph=g)
+            back = jsonio.load_bundle(through_json(jsonio.dump_bundle(dpp)))
+            assert back.constraint == "tree"
+            assert back.matrix.base == m.base
+            assert back.matrix.weights == m.weights
+            assert back.graph.edges == g.edges
+            assert z_tree(back.matrix, back.graph) == z_tree(m, g)
 
     def test_partition_bundle(self):
         m = random_weighted_psd(random.Random(5), 4, labels=("1", "2", "3", "4"))
         dpp = ConstrainedDPP(m, "partition", parts=(("1", "2"), ("3", "4")))
-        back = jsonio.load_bundle(jsonio.dump_bundle(dpp))
+        back = jsonio.load_bundle(through_json(jsonio.dump_bundle(dpp)))
         assert back.parts == (("1", "2"), ("3", "4"))
 
     def test_weights_object_rejected(self):
@@ -159,7 +180,7 @@ class TestBundleRoundtrip:
 class TestMdRoundtrip:
     def test_instance(self):
         inst = random_md_instance(random.Random(6), 3)
-        back = jsonio.load_md_instance(jsonio.dump_md_instance(inst))
+        back = jsonio.load_md_instance(through_json(jsonio.dump_md_instance(inst)))
         assert back.matrices == inst.matrices
 
 

@@ -8,6 +8,7 @@ from treedpp.linalg import (
     WeightedPSD,
     char_poly_coeffs,
     det_bareiss,
+    det_int,
     is_psd,
     ldlt,
     unconstrained_normalizer,
@@ -58,6 +59,30 @@ class TestDetBareiss:
                     term *= rows[i][perm[i]]
                 brute += sign * term
             assert det_bareiss(rows) == brute
+
+
+class TestDetInt:
+    def test_empty_and_singular(self):
+        assert det_int([]) == 1
+        assert det_int([[1, 2], [2, 4]]) == 0
+        assert det_int([[0, 0], [0, 3]]) == 0
+
+    def test_row_swap_sign(self):
+        assert det_int([[0, 1], [1, 0]]) == -1
+        assert det_int([[0, 2, 1], [3, 0, 0], [0, 0, 5]]) == -30
+
+    def test_matches_fraction_bareiss(self):
+        # Zeros are frequent, so pivots are often swapped or missing.
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(n)]
+            before = [row[:] for row in rows]
+            value = det_int(rows)
+            assert type(value) is int
+            assert value == det_bareiss(rows)
+            assert rows == before
 
 
 class TestSymMatrix:

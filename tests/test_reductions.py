@@ -93,7 +93,7 @@ class TestPmGadget:
         b = BipartiteGraph(left, right, [(u, w) for u in left for w in right])
         inst = build_pm_gadget(b)
         survivors = 0
-        for tree in enumerate_spanning_trees(inst.graph, max_vertices=13):
+        for tree in enumerate_spanning_trees(inst.graph):
             if inst.kernel.minor(tree) == 0:
                 continue
             survivors += 1
@@ -157,14 +157,10 @@ class TestPmGadget:
             reweight_rank_one(build_pm_gadget(complete_bipartite(2)), Rat(3, 2), 2),
         ):
             g = inst.graph
-            assert gadget_z_exact(inst, "tree") == z_tree(
-                inst.kernel, g, max_vertices=g.num_vertices
-            )
+            assert gadget_z_exact(inst, "tree") == z_tree(inst.kernel, g)
             # K3,3's 18 gadget edges carry 157,464 forests (~5 s): trees only.
             if g.num_edges <= 8:
-                assert gadget_z_exact(inst, "forest") == z_forest(
-                    inst.kernel, g, max_edges=g.num_edges
-                )
+                assert gadget_z_exact(inst, "forest") == z_forest(inst.kernel, g)
 
 
 class TestLagrange:
@@ -230,9 +226,7 @@ class TestMdGadget:
             gadget = build_md_gadget(p)
             right = set(gadget.right_edges)
             total = Rat(0)
-            for tree in enumerate_spanning_trees(
-                gadget.graph, max_vertices=gadget.graph.num_vertices
-            ):
+            for tree in enumerate_spanning_trees(gadget.graph):
                 if right <= set(tree):
                     total += gadget.kernel.minor(tree)
             assert total == partition_constrained_sum(p.matrix, p.parts)
@@ -242,7 +236,7 @@ class TestMdGadget:
         gadget = build_md_gadget(p)
         right = set(gadget.right_edges)
         total = Rat(0)
-        for tree in enumerate_spanning_trees(gadget.graph, max_vertices=7):
+        for tree in enumerate_spanning_trees(gadget.graph):
             if right <= set(tree):
                 total += gadget.kernel.minor(tree)
         assert total == 0
@@ -323,15 +317,11 @@ def oracle_gadgets():
 class TestExactOracle:
     def test_matches_generic_normalizers(self):
         for name, inst in oracle_gadgets().items():
-            nv, ne = inst.graph.num_vertices, inst.graph.num_edges
             for lf, rf in ((1, 1), (2, 3), (Rat(7, 2), Rat(1, 3))):
                 scaled = reweight_rank_one(inst, lf, rf)
-                assert gadget_z_exact(scaled, "tree") == z_tree(
-                    scaled.kernel, scaled.graph, max_vertices=nv
-                ), name
-                assert gadget_z_exact(scaled, "forest") == z_forest(
-                    scaled.kernel, scaled.graph, max_edges=ne
-                ), name
+                g = scaled.graph
+                assert gadget_z_exact(scaled, "tree") == z_tree(scaled.kernel, g), name
+                assert gadget_z_exact(scaled, "forest") == z_forest(scaled.kernel, g), name
 
     def test_table_sums_to_unconstrained_normalizer(self):
         for name, inst in oracle_gadgets().items():
@@ -383,12 +373,8 @@ class TestExactOracle:
                 assert bit_length(x) > 1000
             scaled = reweight_rank_one(gadget, y, x)
             g = scaled.graph
-            assert gadget_z_exact(scaled, "forest") == z_forest(
-                scaled.kernel, g, max_edges=g.num_edges
-            )
-            assert gadget_z_exact(scaled, "tree") == z_tree(
-                scaled.kernel, g, max_vertices=g.num_vertices
-            )
+            assert gadget_z_exact(scaled, "forest") == z_forest(scaled.kernel, g)
+            assert gadget_z_exact(scaled, "tree") == z_tree(scaled.kernel, g)
 
     def test_full_rank_table_prunes_nothing(self):
         # Every (j, k) with some s in {0, 1, 2}^2, |s| = j and e_k(s) != 0,
@@ -424,9 +410,7 @@ class TestExactOracle:
         rng = random.Random(79)
         inst = build_md_gadget(build_partition_instance(random_md_instance(rng, 3)))
         scaled = reweight_rank_one(inst, 1, Rat(4, 3))
-        assert gadget_z_exact(scaled, "tree") == z_tree(
-            scaled.kernel, scaled.graph, max_vertices=scaled.graph.num_vertices
-        )
+        assert gadget_z_exact(scaled, "tree") == z_tree(scaled.kernel, scaled.graph)
 
 
 def high_rank_instance(rng, n):
@@ -650,7 +634,7 @@ class TestApReduceForest:
         top = x ** (2 * m) * y ** (2 * n)
         right = set(gadget.right_edges)
         seen_cases = set()
-        for forest in enumerate_forests(gadget.graph, max_edges=gadget.graph.num_edges):
+        for forest in enumerate_forests(gadget.graph):
             r = sum(1 for e in forest if e in right)
             l = len(forest) - r
             monomial = x ** (2 * r) * y ** (2 * l)
