@@ -134,15 +134,14 @@ def find_witness(instance: "GadgetInstance") -> tuple | None:
     Contracting the right edges (the kernel is block diagonal with an
     identity on them) reduces the search to a common independent transversal
     of the left-edge linear matroid and the one-per-part partition matroid.
-    Independence is a positive minor of the gadget kernel itself (on an
-    origin gadget, the kernel it was built with: no copy, no PSD test),
-    whose determinant cache the moment search (gadget_moments) then reuses.
+    Independence is a positive minor of the gadget's source block
+    (GadgetInstance.left_minor): no copy and no PSD test, and the moment
+    search (gadget_moments) then reuses its determinant cache.
     Returns the full edge set, sorted, or None.
     """
-    kernel = instance.kernel
     lin = IndependenceOracle(
         ground=tuple(instance.left_edges),
-        is_independent=lambda s: kernel.minor(s) > 0,
+        is_independent=lambda s: instance.left_minor(s) > 0,
     )
     part = partition_matroid(instance.parts, [1] * len(instance.parts))
     picked = matroid_intersection(lin, part, len(instance.parts))

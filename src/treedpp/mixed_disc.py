@@ -21,7 +21,7 @@ DEFAULT_MD_DIM_CAP = 7
 
 @dataclass(frozen=True)
 class MDInstance:
-    """n positive semi-definite n x n kernels."""
+    """n positive semi-definite n x n kernels over one label tuple."""
 
     matrices: tuple
 
@@ -36,6 +36,9 @@ class MDInstance:
                 raise ValueError("need exactly n kernels of dimension n")
             if not is_psd(k):
                 raise ValueError("each kernel must be positive semi-definite")
+        # mixed_discriminant and the encoding read entries by position.
+        if len({k.labels for k in mats}) > 1:
+            raise ValueError("kernels must share one label tuple")
 
     @property
     def dimension(self) -> int:

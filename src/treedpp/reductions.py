@@ -1,11 +1,14 @@
 """Reduction pipelines: matchings to tree normalizers, interpolation, and the
 approximation-preserving routes from the mixed discriminant.
 
-Both gadget reductions query one closed-form oracle: a reweighted gadget
-is its origin plus two factors, the origin's moment table F_{j,k} is built
-once from its PSD-pruned left minors, and every normalizer of a copy is one
-integer sum over F (gadget_z_exact).  The gadget graph and reweighted
-kernels are built only when tests or verify, which pair each pipeline with
+A chain gadget is its source block: the mixed-discriminant gadget holds
+the partition instance's matrix itself, and every minor the pipelines read
+is a minor of that block, since the right block is an identity.  Both
+gadget reductions query one closed-form oracle: a reweighted gadget is its
+origin plus two factors, the origin's moment table F_{j,k} is built once
+from its PSD-pruned left minors, and every normalizer of a copy is one
+integer sum over F (gadget_z_exact).  The gadget graph and the 2m x 2m
+kernel are built only when tests or verify, which pair each pipeline with
 an independent brute-force route, ask for them.
 """
 
@@ -33,71 +36,94 @@ from .rational import ONE, Rat, Rational, as_rational, exp_enclosure
 DEFAULT_GADGET_MINOR_CAP = 2**16
 
 
-def _path_labels(i: int, k: int) -> tuple:
-    """Left edge, middle vertex and right edge of path k in part i (1-based)."""
-    tag = f"{i:02d}.{k:02d}"
-    return f"l{tag}", f"w{tag}", f"r{tag}"
-
-
 @dataclass(frozen=True, eq=False)
 class GadgetInstance:
-    """A chain gadget: its origin's block kernel, its parts and two factors.
+    """A chain gadget: its source block, its parts and two factors.
 
-    origin_kernel, labelled by the left edges part by part and then the
-    parallel right edges, carries the source matrix on the left block,
-    keyed by left_source, and an identity on the right block.  Only
-    _chain_gadget builds an origin.  A reweighted copy shares the origin's
-    fields and moments and carries the accumulated factors; graph and
-    kernel, which only tests and verify read, are built on first access.
+    left is the source WeightedPSD over its own keys and blocks lists each
+    part's keys in path order.  The kernel carries left on the left block
+    and an identity on the right block, so a minor is left's minor at its
+    left edges' keys (left_minor).  A reweighted copy shares the origin's
+    fields and moments and carries the accumulated factors.  Everything
+    else is derived from the path labels; graph and kernel, the 2m x 2m
+    matrix that only tests and verify read, are built on first access.
     """
 
-    origin_kernel: WeightedPSD
-    parts: tuple
-    left_source: dict
+    left: WeightedPSD
+    blocks: tuple
     left_factor: Rational = ONE
     right_factor: Rational = ONE
     origin: "GadgetInstance | None" = None
 
     @property
     def num_parts(self) -> int:
-        return len(self.parts)
+        return len(self.blocks)
 
     @property
     def num_left(self) -> int:
         return len(self.left_source)
 
-    @property
-    def left_edges(self) -> tuple:
-        return self.origin_kernel.labels[: self.num_left]
+    @cached_property
+    def _paths(self) -> list:
+        """(i, left edge, middle vertex, right edge, key) per path, part by
+        part; key k of part i (1-based) is the left edge l{i}.{k}."""
+        paths = []
+        for i, keys in enumerate(self.blocks, start=1):
+            for k, key in enumerate(keys, start=1):
+                tag = f"{i:02d}.{k:02d}"
+                paths.append((i, f"l{tag}", f"w{tag}", f"r{tag}", key))
+        return paths
+
+    @cached_property
+    def left_source(self) -> dict:
+        return {lid: key for _, lid, _, _, key in self._paths}
+
+    @cached_property
+    def parts(self) -> tuple:
+        return tuple(
+            tuple(lid for j, lid, *_ in self._paths if j == i)
+            for i in range(1, self.num_parts + 1)
+        )
 
     @property
+    def left_edges(self) -> tuple:
+        return tuple(self.left_source)
+
+    @cached_property
     def right_edges(self) -> tuple:
-        return self.origin_kernel.labels[self.num_left :]
+        return tuple(rid for _, _, _, rid, _ in self._paths)
+
+    def left_minor(self, edges) -> Rational:
+        """The origin kernel's minor at edges: left's minor at the keys of
+        their left edges, since the identity block adds a factor of 1."""
+        src = self.left_source
+        return self.left.minor(src[e] for e in edges if e in src)
 
     @cached_property
     def graph(self) -> Graph:
         """A spine v_1..v_(n+1); part i joins v_i and v_(i+1) by one two-edge
         path (l{i}.{k}, r{i}.{k}) through w{i}.{k} per left edge."""
         spine = [f"v{i:02d}" for i in range(1, self.num_parts + 2)]
-        vertices = list(spine)
+        vertices = spine + [mid for _, _, mid, _, _ in self._paths]
         edges = []
-        for i, part in enumerate(self.parts, start=1):
-            for k in range(1, len(part) + 1):
-                lid, mid, rid = _path_labels(i, k)
-                vertices.append(mid)
-                edges += [(lid, spine[i - 1], mid), (rid, mid, spine[i])]
+        for i, lid, mid, rid, _ in self._paths:
+            edges += [(lid, spine[i - 1], mid), (rid, mid, spine[i])]
         return Graph(vertices, edges)
 
     @cached_property
     def kernel(self) -> WeightedPSD:
-        """The weighted kernel: the origin's, with left weights times
-        left_factor^2 and right weights times right_factor^2."""
-        if self.left_factor == self.right_factor == 1:
-            return self.origin_kernel
+        """The weighted kernel over the left edges, then the right edges:
+        left's entries and weights times left_factor^2 on the left block,
+        an identity with weights right_factor^2 on the right block."""
+        src, base = self.left_source, self.left.base
+        labels = self.left_edges + self.right_edges
+        rows = [
+            [base[src[a], src[b]] if a in src and b in src else int(a == b) for b in labels]
+            for a in labels
+        ]
         lf2, rf2 = self.left_factor**2, self.right_factor**2
-        return WeightedPSD(self.origin_kernel.base, {
-            a: w * (lf2 if a in self.left_source else rf2)
-            for a, w in self.origin_kernel.weights.items()})
+        weights = {a: self.left.weights[src[a]] * lf2 if a in src else rf2 for a in labels}
+        return WeightedPSD(SymMatrix(labels, rows), weights)
 
     @cached_property
     def moments(self) -> dict:
@@ -106,64 +132,33 @@ class GadgetInstance:
         return gadget_moments(self) if self.origin is None else self.origin.moments
 
 
-def _chain_gadget(blocks, entry, weights) -> GadgetInstance:
-    """The chain gadget over blocks, one ordered list of left-source keys per
-    part: path _path_labels(i, k) per key, left block entry(key_a, key_b),
-    identity right block.  weights maps each key to its left weight, or is
-    None for unit weights.
-    """
-    left_source = {}
-    right_ids = []
-    groups = []
-    for i, keys in enumerate(blocks, start=1):
-        group = []
-        for k, key in enumerate(keys, start=1):
-            lid, _, rid = _path_labels(i, k)
-            left_source[lid] = key
-            right_ids.append(rid)
-            group.append(lid)
-        groups.append(tuple(group))
-    labels = list(left_source) + right_ids
-
-    def cell(a, b):
-        if a in left_source and b in left_source:
-            return entry(left_source[a], left_source[b])
-        return 1 if a == b else 0
-
-    base = SymMatrix(labels, [[cell(a, b) for b in labels] for a in labels])
-    wmap = dict.fromkeys(labels, ONE)
-    if weights is not None:
-        wmap.update((lid, weights[key]) for lid, key in left_source.items())
-    return GadgetInstance(WeightedPSD(base, wmap), tuple(groups), left_source)
-
-
 def build_pm_gadget(bipartite: BipartiteGraph) -> GadgetInstance:
     """Gadget whose tree normalizer counts the perfect matchings of the input.
 
     Part i holds one two-edge path per edge (u_i, w), in right-vertex
-    order; the left block of the kernel has a 1 exactly where two left
-    edges point at the same right-side vertex, so a tree's minor survives
-    only when its left edges pick distinct partners.
+    order.  The left block is one m x m 0/1 matrix over the edges, with a
+    1 exactly where two edges point at the same right-side vertex, so a
+    tree's minor survives only when its left edges pick distinct partners.
     """
     right_pos = {w: j for j, w in enumerate(bipartite.right)}
-    blocks = [
-        sorted((e for e in bipartite.edges if e[0] == u), key=lambda e: right_pos[e[1]])
+    blocks = tuple(
+        tuple(sorted((e for e in bipartite.edges if e[0] == u), key=lambda e: right_pos[e[1]]))
         for u in bipartite.left
-    ]
-    return _chain_gadget(blocks, lambda a, b: int(a[1] == b[1]), None)
+    )
+    edges = [e for keys in blocks for e in keys]
+    left = SymMatrix(edges, [[int(a[1] == b[1]) for b in edges] for a in edges])
+    return GadgetInstance(WeightedPSD(left), blocks)
 
 
 def build_md_gadget(instance: PartitionInstance) -> GadgetInstance:
     """Gadget whose witness-restricted tree minors sum to the transversal sum.
 
-    Left edges inherit the partition instance's base entries and weights;
-    right edges are unit identity columns.
+    Its left block is the partition instance's matrix itself, base entries
+    and weights, with each part's labels in sorted order; the right edges
+    are unit identity columns.  It builds no matrix and runs no PSD test.
     """
-    base = instance.matrix.base
-    return _chain_gadget(
-        [sorted(part) for part in instance.parts],
-        lambda a, b: base[a, b],
-        instance.matrix.weights,
+    return GadgetInstance(
+        instance.matrix, tuple(tuple(sorted(part)) for part in instance.parts)
     )
 
 
@@ -366,24 +361,23 @@ def gadget_moments(instance: GadgetInstance) -> dict:
     Maps (j, k) to F_{j,k} = sum over |s| = j of c_s * e_k(s), where e_k is
     the k-th elementary symmetric polynomial of the per-part left counts
     s = (s_1..s_n) and c_s the sum, over left subsets S with
-    |S on part i| = s_i, of det(base_S) * prod_{e in S} w_e.  Only nonzero
+    |S on part i| = s_i, of det(base_S) * prod_{e in S} w_e, read off the
+    source block instance.left at the edges' keys.  Only nonzero
     entries are stored, and (0, 0) is always 1; j runs up to the left
     block's rank, k up to n.  F is all gadget_z_exact reads, and
     2^m * sum_j F_{j,0} is the unconstrained normalizer det(K + I) of the
     unweighted gadget.  GadgetInstance.moments caches it on the origin.
 
-    A depth-first search adds left edges in ascending label order and never
-    extends a subset whose minor is 0: the base is PSD, so every superset's
-    minor is 0 as well.  Raises CapExceeded before the search when
-    _check_minor_cap refuses the gadget.
+    A depth-first search adds left edges in path order and never extends a
+    subset whose minor is 0: the base is PSD, so every superset's minor is
+    0 as well.  Raises CapExceeded before the search when _check_minor_cap
+    refuses the gadget.
     """
     _check_minor_cap(instance)
-    base = instance.origin_kernel.base
-    weights = instance.origin_kernel.weights
+    base, weights = instance.left.base, instance.left.weights
     n = instance.num_parts
-    part_of = {e: i for i, part in enumerate(instance.parts) for e in part}
-    left = sorted(instance.left_edges)
-    pos = [base.positions((e,))[0] for e in left]
+    left = [(i, key) for i, keys in enumerate(instance.blocks) for key in keys]
+    pos = [base.positions((key,))[0] for _, key in left]
     table: dict = {}  # c_s
     counts = [0] * n
     chosen: list = []
@@ -395,9 +389,9 @@ def gadget_moments(instance: GadgetInstance) -> dict:
             chosen.append(pos[k])
             sub = base.minor_det(chosen)
             if sub != 0:
-                part = part_of[left[k]]
+                part, key = left[k]
                 counts[part] += 1
-                visit(k + 1, sub, weight * weights[left[k]])
+                visit(k + 1, sub, weight * weights[key])
                 counts[part] -= 1
             chosen.pop()
 
@@ -481,7 +475,7 @@ def reduction_factors(inst: GadgetInstance, witness, eps, target: str) -> tuple:
     # det(K + I) sums all principal minors; the identity right block lets
     # each left subset pair with any of the 2^m right subsets.
     normalizer = 2**m * sum(f for (_, k), f in inst.moments.items() if k == 0)
-    ratio = normalizer / inst.origin_kernel.minor(witness)
+    ratio = normalizer / inst.left_minor(witness)
     if target == "tree":
         return ratio * 2 / eps, None
     y = ratio * 4 / eps

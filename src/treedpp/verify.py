@@ -605,6 +605,8 @@ def run_verification(seed: int = 0) -> list:
             check(rng)
         except AssertionError as exc:
             results.append((name, False, str(exc) or "assertion failed"))
+        except Exception as exc:  # a crashing check fails; the others still run
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
         else:
             results.append((name, True, ""))
     return results

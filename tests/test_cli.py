@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from treedpp import jsonio
+from treedpp import jsonio, verify
 from treedpp.cli import COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, main
 from treedpp.dpp import ConstrainedDPP
 from treedpp.graphs import Graph
@@ -134,6 +134,17 @@ class TestValueCommands:
     def test_mixed_disc(self, md_identity_file, capsys):
         assert main(["mixed-disc", md_identity_file]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    @pytest.mark.parametrize("command", ["mixed-disc", "apreduce-zt"])
+    def test_kernels_with_differing_labels_rejected(self, command, tmp_path, capsys):
+        path = tmp_path / "md.json"
+        jsonio.write_json(path, {"matrices": [
+            {"labels": ["a", "b"], "rows": [["2", "0"], ["0", "1"]]},
+            {"labels": ["b", "a"], "rows": [["2", "0"], ["0", "1"]]},
+        ]})
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "share one label tuple" in captured.err
 
     def test_decimal_rendering(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -394,6 +405,19 @@ class TestVerifyCommand:
         assert "FAIL" not in first
         assert main(["verify", "--seed", "42"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_crashing_check_is_a_fail_line(self, monkeypatch, capsys):
+        def crashes(rng):
+            raise ValueError("bad weights")
+
+        def passes(rng):
+            pass
+
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("crashes", crashes), ("passes", passes)])
+        assert main(["verify", "--seed", "0"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["FAIL crashes: ValueError: bad weights", "PASS passes",
+                       "1/2 properties passed"]
 
 
 # One valid input per file format, with the commands that read it.

@@ -154,13 +154,13 @@ class TestFindWitness:
                     assert gadget.kernel.minor(witness) > 0
 
     def test_reads_the_gadget_kernel(self, monkeypatch):
-        # The search answers from the gadget's own minors: it builds no
-        # restricted copy, so it runs no second PSD test, and the minors it
-        # evaluates are cached on the gadget's base.
+        # The search answers from the gadget's source block: it builds no
+        # copy, so it runs no PSD test, and the minors it evaluates are
+        # cached on the source block's base.
         gadget = build_md_gadget(build_partition_instance(random_md_instance(random.Random(3), 3)))
         calls = []
         inner = linalg.is_psd
         monkeypatch.setattr(linalg, "is_psd", lambda m: calls.append(m) or inner(m))
         assert find_witness(gadget) is not None
         assert calls == []
-        assert gadget.kernel.base._det_cache
+        assert gadget.left.base._det_cache

@@ -104,6 +104,16 @@ class TestMixedDiscriminant:
         with pytest.raises(ValueError, match="n kernels of dimension n"):
             mixed_discriminant([identity_matrix(2)] * 3)
 
+    def test_rejects_differing_labels(self):
+        # Entries are read by position, so diag(2, 1) over (b, a) would be
+        # read as diag(2, 1) over (a, b): D = 4, where the kernel meant,
+        # diag(1, 2) over (a, b), gives D = 5.
+        first = SymMatrix(("a", "b"), [[2, 0], [0, 1]])
+        swapped = SymMatrix(("b", "a"), [[2, 0], [0, 1]])
+        assert mixed_discriminant([first, SymMatrix(("a", "b"), [[1, 0], [0, 2]])]) == 5
+        with pytest.raises(ValueError, match="share one label tuple"):
+            mixed_discriminant([first, swapped])
+
 
 class TestPartitionEncoding:
     def test_identity_instance(self):

@@ -81,6 +81,15 @@ class TestPmGadget:
         assert inst.graph.num_edges == 8
         assert is_psd(inst.kernel.base)
 
+    def test_left_block_is_m_by_m(self):
+        # One 0/1 matrix over the bipartite edges; the identity right block
+        # exists only in the derived 2m x 2m kernel.
+        inst = build_pm_gadget(complete_bipartite(3))
+        assert inst.left.dimension == 9
+        assert inst.left.base[("u0", "w1"), ("u2", "w1")] == 1
+        assert inst.left.base[("u0", "w1"), ("u0", "w2")] == 0
+        assert inst.kernel.dimension == 18
+
     def test_k33_counts_matchings(self):
         left = ("u1", "u2", "u3")
         right = ("w1", "w2", "w3")
@@ -213,6 +222,19 @@ class TestInterpolation:
 
 
 class TestMdGadget:
+    def test_is_its_source_block(self, monkeypatch):
+        # The left block is the partition instance's matrix itself: the
+        # builder builds no matrix and runs no PSD test.
+        p = build_partition_instance(random_md_instance(random.Random(3), 3))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built or tested a matrix")
+
+        monkeypatch.setattr(linalg, "is_psd", forbidden)
+        monkeypatch.setattr(reductions, "SymMatrix", forbidden)
+        gadget = build_md_gadget(p)
+        assert gadget.left is p.matrix
+
     def test_identity_shape(self):
         inst = build_md_gadget(build_partition_instance(identity_md(2)))
         assert inst.graph.num_vertices == 7
@@ -451,24 +473,38 @@ class TestTreeRouteFactor:
 
 
 class TestReductionReadsTheOrigin:
-    """A reduction reads the origin gadget's kernel, moments and the two
-    factors: the reweighted copy it queries copies no kernel and the
-    gadget graph is never built."""
+    """A reduction reads the origin gadget's source block, moments and the
+    two factors: no 2m x 2m kernel is built, the reweighted copy it queries
+    copies nothing, and the gadget graph is never built."""
 
     @pytest.mark.parametrize("route", [apreduce_md_to_zt, apreduce_md_to_zf])
-    def test_two_psd_tests_per_run(self, route, monkeypatch):
-        # One for the partition encoding's base, one for the gadget's.
+    def test_one_psd_test_per_run(self, route, monkeypatch):
+        # The partition encoding's base is the gadget's source block.
         inst = random_md_instance(random.Random(3), 3)
         calls = []
         inner = linalg.is_psd
         monkeypatch.setattr(linalg, "is_psd", lambda m: calls.append(m) or inner(m))
+        p = build_partition_instance(inst)
+        monkeypatch.setattr(reductions, "build_partition_instance", lambda kernels: p)
         assert route(inst, Rat(1, 2)).bounds_pass
-        assert len(calls) == 2
+        assert len(calls) == 1 and calls[0] is p.matrix.base
 
     def test_no_graph_is_built(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("built the gadget graph")
 
+        monkeypatch.setattr(reductions, "Graph", forbidden)
+        inst = random_md_instance(random.Random(3), 3)
+        for route in (apreduce_md_to_zt, apreduce_md_to_zf):
+            report = route(inst, Rat(1, 2))
+            assert not report.declared_zero and report.bounds_pass
+        assert count_pm_via_zt(complete_bipartite(3)) == 6
+
+    def test_no_kernel_or_graph_is_built(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built the 2m x 2m kernel or the gadget graph")
+
+        monkeypatch.setattr(reductions.GadgetInstance, "kernel", property(forbidden))
         monkeypatch.setattr(reductions, "Graph", forbidden)
         inst = random_md_instance(random.Random(3), 3)
         for route in (apreduce_md_to_zt, apreduce_md_to_zf):
